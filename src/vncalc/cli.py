@@ -149,6 +149,8 @@ def cmd_verify(args) -> int:
     reports = run_suites(
         args.which, degrees, kmax=args.kmax, count=args.count, seed=args.seed
     )
+    if not reports:
+        raise VnError("no checks ran")
     failed = False
     for rep in reports:
         if args.format == "tsv":
@@ -295,10 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

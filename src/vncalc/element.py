@@ -20,6 +20,7 @@ from .errors import (
     FileFormatError,
     NotABijectionError,
     NotAPartitionError,
+    ParameterRangeError,
     SignUndefinedError,
     VnError,
     WordTooShortError,
@@ -218,7 +219,7 @@ def apply_point(g: VnElement, p: RationalPoint) -> RationalPoint:
 def order_bounded(g: VnElement, bound: int = 64) -> int | None:
     """Least k <= bound with g^k = identity, or None past the bound."""
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise ParameterRangeError("bound must be >= 1")
     acc = g
     for k in range(1, bound + 1):
         if acc.is_identity():

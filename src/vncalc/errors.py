@@ -5,6 +5,10 @@ class VnError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ParameterRangeError(VnError, ValueError):
+    """A numeric parameter lies outside its allowed range."""
+
+
 class MalformedWordError(VnError, ValueError):
     """A word contains letters outside the alphabet or cannot be parsed."""
 

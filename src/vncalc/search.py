@@ -5,12 +5,11 @@ for non-involutive generators), deduplicated by canonical form.  Output
 is deterministic: candidates are enumerated in lexicographic word order
 level by level, so the recorded witness for an element is its shortest,
 lexicographically least word.  Persisted files are byte-identical across
-worker counts.
+runs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .element import VnElement, compose, format_element, identity, invert, parse_element
@@ -104,22 +103,11 @@ class Ball:
         return None
 
 
-def _expand_frontier(frontier, tokens, workers: int):
+def _expand_frontier(frontier, tokens):
     """Candidate (word, element) pairs for the next level, in frontier order."""
-
-    def expand(item):
-        word, g = item
-        return [(word + (tok,), compose(g, h)) for tok, h in tokens]
-
-    if workers <= 1 or len(frontier) < 2:
-        chunks = map(expand, frontier)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(expand, frontier))
-    out = []
-    for chunk in chunks:
-        out.extend(chunk)
-    return out
+    for word, g in frontier:
+        for tok, h in tokens:
+            yield word + (tok,), compose(g, h)
 
 
 def grow_ball(
@@ -132,9 +120,9 @@ def grow_ball(
     """Deduplicated ball of the given radius, deterministically ordered.
 
     Stops early once the cap is reached, marking the ball truncated; the
-    retained prefix of the enumeration is still deterministic.  Worker
-    counts affect only how candidate products are computed, never the
-    merged result.
+    retained prefix of the enumeration is still deterministic.  The
+    manifest is stored sorted by name, the order save_ball writes it in.
+    ``workers`` has no effect: the expansion is serial.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -150,7 +138,7 @@ def grow_ball(
     for _ in range(radius):
         fresh: list[tuple[GenWord, VnElement]] = []
         if not truncated:
-            for word, g in _expand_frontier(frontier, tokens, workers):
+            for word, g in _expand_frontier(frontier, tokens):
                 if g in seen:
                     continue
                 if len(seen) >= cap:
@@ -162,7 +150,12 @@ def grow_ball(
         sizes.append(len(entries))
         frontier = fresh
     return Ball(
-        gens.alphabet, radius, tuple(entries), tuple(sizes), truncated, tuple(manifest)
+        gens.alphabet,
+        radius,
+        tuple(entries),
+        tuple(sizes),
+        truncated,
+        tuple(sorted(manifest)),
     )
 
 
@@ -180,7 +173,7 @@ def find_element(
     frontier = [((), ident)]
     for _ in range(max_radius):
         fresh = []
-        for word, g in _expand_frontier(frontier, tokens, 1):
+        for word, g in _expand_frontier(frontier, tokens):
             if g in seen:
                 continue
             if g == target:

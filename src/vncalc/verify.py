@@ -97,7 +97,10 @@ def verify_translation(gamma: VnElement, k: int) -> VerificationReport:
 
 
 def _shifted_spinal(entries, alphabet: Alphabet, k: int) -> VnElement:
-    """The product form of a spinal element with every cone pushed k deeper."""
+    """The product form of a spinal element with every cone pushed k deeper.
+
+    At k=0 this is the reference form for make_s_alpha's case table.
+    """
     ell = len(entries)
     out = embed(spine_cone(ell + k + 1), sigma_dot(alphabet))
     for i, g in enumerate(entries, start=1):

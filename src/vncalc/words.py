@@ -18,6 +18,7 @@ from .errors import (
     LevelTooSmallError,
     MalformedWordError,
     NotAPartitionError,
+    ParameterRangeError,
 )
 
 
@@ -29,7 +30,9 @@ class Alphabet:
 
     def __post_init__(self):
         if not isinstance(self.degree, int) or self.degree < 2:
-            raise ValueError(f"alphabet degree must be an integer >= 2, got {self.degree!r}")
+            raise ParameterRangeError(
+                f"alphabet degree must be an integer >= 2, got {self.degree!r}"
+            )
 
     @property
     def letters(self) -> range:

@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
+import pytest
+
 from vncalc.cli import main
 from vncalc.constructions import (
     default_base,
@@ -185,3 +187,25 @@ def test_missing_file_is_reported(capsys):
     code, _, err = run(capsys, "canon", "no-such-file.elt")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "-n", "1", "-e", "sigma"),
+        ("verify", "all", "-n", "1"),
+        ("sidon", "--count", "-1"),
+        ("order", "-n", "2", "-e", "sigma", "--bound", "0"),
+    ],
+)
+def test_out_of_range_parameter_is_reported(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_verify_with_no_checks_fails(capsys):
+    code, out, err = run(capsys, "verify", "eq2", "--count", "0", "--kmax", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no checks ran\n"

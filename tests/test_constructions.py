@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import W
 from vncalc.constructions import (
@@ -39,6 +41,7 @@ from vncalc.element import (
 )
 from vncalc.element import ConeKind
 from vncalc.errors import InvolutionRequiredError, PlanInvariantError
+from vncalc.verify import _shifted_spinal
 from vncalc.words import Alphabet, PartitionSet, Word, point_normalize
 
 A2 = Alphabet(2)
@@ -225,8 +228,8 @@ def test_spinal_not_involution_with_order3_entry():
 
 
 def test_spinal_constructors_agree_on_random_sequences():
-    # make_s_alpha cross-checks its two constructions internally; drive it
-    # over random involutive sequences so a disagreement would raise.
+    # The case table built by make_s_alpha against the product of cone
+    # embeddings that verify keeps as the reference form.
     rng = random.Random(7)
     for n in (2, 3, 5):
         alphabet = Alphabet(n)
@@ -235,9 +238,33 @@ def test_spinal_constructors_agree_on_random_sequences():
             ell = rng.randint(0, 6)
             alpha = [rng.choice(pool) for _ in range(ell)]
             s = make_s_alpha(alpha, alphabet)
+            assert s == _shifted_spinal(alpha, alphabet, 0)
             assert apply_word(s, Word((1,) * (ell + 1) + (1,))) == Word(
                 (1,) * (ell + 1) + (2,)
             )
+
+
+@st.composite
+def spinal_sequences(draw):
+    """An alphabet and up to 8 entries, each trivial or a deep random element."""
+    alphabet = Alphabet(draw(st.sampled_from((2, 3, 5))))
+    alpha = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            alpha.append(identity(alphabet))
+        else:
+            rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+            expansions = draw(st.integers(1, 10))
+            alpha.append(random_element(alphabet, rng, expansions, max_depth=None))
+    return alphabet, alpha
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(spinal_sequences())
+def test_spinal_case_table_matches_product_form(case):
+    # Entries need not be involutions: the two forms agree for any contents.
+    alphabet, alpha = case
+    assert make_s_alpha(alpha, alphabet) == _shifted_spinal(alpha, alphabet, 0)
 
 
 # --- Sidon sets ----------------------------------------------------------------------

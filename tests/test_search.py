@@ -232,3 +232,11 @@ def test_ball_deterministic_across_runs(tmp_path):
     save_ball(grow_ball(spinal_gens(), 5, workers=1), str(p1))
     save_ball(grow_ball(spinal_gens(), 5, workers=3), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_ball_round_trip_keeps_unsorted_manifest(tmp_path):
+    manifest = (("tau", "tau.elt"), ("sigma", "sigma.elt"))
+    ball = grow_ball(sigma_tau_gens(), 3, manifest=manifest)
+    path = tmp_path / "ball.txt"
+    save_ball(ball, str(path))
+    assert load_ball(str(path)) == ball
