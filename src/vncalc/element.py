@@ -11,6 +11,7 @@ correctly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -83,44 +84,75 @@ def identity(alphabet: Alphabet) -> VnElement:
     return VnElement(PartitionSet(alphabet, (EPS,)), (EPS,))
 
 
+def _reduce(table: dict[tuple, tuple], degree: int) -> dict[tuple, tuple]:
+    """Merge caret pairs of a letter-tuple table in place, deepest first.
+
+    A merge at u needs every child u.i to be a leaf, with u.1 -> v.1 and
+    u.i -> v.i for the same v.  Only a merge at a child of u can create
+    such a leaf, so the candidates are swept bucket by bucket from the
+    deepest parent up, and a merge at u re-queues only its parent; one
+    sweep then leaves no mergeable caret.  A parent is queued only when
+    its child ending in letter 1 becomes a leaf, since no merge is
+    possible without that child.
+    """
+    if not table:
+        return table
+    buckets: list[set[tuple]] = [set() for _ in range(max(map(len, table)))]
+    for w in table:
+        if w and w[-1] == 1:
+            buckets[len(w) - 1].add(w[:-1])
+    rest = range(2, degree + 1)
+    for depth in range(len(buckets) - 1, -1, -1):
+        for u in buckets[depth]:
+            v1 = table.get(u + (1,))
+            if not v1 or v1[-1] != 1:
+                continue
+            base = v1[:-1]
+            if all(table.get(u + (i,)) == base + (i,) for i in rest):
+                del table[u + (1,)]
+                for i in rest:
+                    del table[u + (i,)]
+                table[u] = base
+                if u and u[-1] == 1:
+                    buckets[depth - 1].add(u[:-1])
+    return table
+
+
+def _element(
+    table: dict[tuple, tuple], alphabet: Alphabet, known: dict[tuple, Word]
+) -> VnElement:
+    """Wrap a reduced table in Words, reusing ``known`` Words for unchanged letters."""
+
+    def word(letters: tuple) -> Word:
+        w = known.get(letters)
+        return Word(letters) if w is None else w
+
+    dom = sorted(table)
+    return VnElement(
+        PartitionSet(alphabet, tuple(word(w) for w in dom)),
+        tuple(word(table[w]) for w in dom),
+    )
+
+
 def canonicalize(pairs, alphabet: Alphabet) -> VnElement:
     """Reduce a raw bijection table to canonical form.
 
-    Repeatedly merges caret pairs: whenever all n children u.1..u.n are
-    domain words with images v.1..v.n for a common v, the n rows collapse
-    to u -> v.  The rewriting is confluent, so the result does not depend
-    on the merge order (property-tested rather than proved here).
+    Merges caret pairs: whenever all n children u.1..u.n are domain words
+    with images v.1..v.n for a common v, the n rows collapse to u -> v.
+    The merges run in one deepest-first sweep (see ``_reduce``).  The
+    rewriting is confluent, so the result does not depend on the merge
+    order; ``test_canonicalize_ignores_merge_order`` checks this against
+    a restart-after-every-merge oracle on shuffled, refined tables.
     """
-    n = alphabet.degree
-    table: dict[Word, Word] = {}
+    table: dict[tuple, tuple] = {}
+    known: dict[tuple, Word] = {}
     for w, v in pairs:
-        if w in table:
+        if w.letters in table:
             raise NotABijectionError(f"duplicate domain word {w}")
-        table[w] = v
-    while True:
-        merged = False
-        groups: dict[Word, dict[int, Word]] = {}
-        for w in table:
-            if len(w):
-                groups.setdefault(w.parent(), {})[w.last()] = table[w]
-        for u in sorted(groups):
-            kids = groups[u]
-            if len(kids) != n or 1 not in kids:
-                continue
-            v1 = kids[1]
-            if len(v1) == 0 or v1.last() != 1:
-                continue
-            base = v1.parent()
-            if all(kids.get(i) == base.child(i) for i in alphabet.letters):
-                for i in alphabet.letters:
-                    del table[u.child(i)]
-                table[u] = base
-                merged = True
-                break
-        if not merged:
-            break
-    dom = tuple(sorted(table))
-    return VnElement(PartitionSet(alphabet, dom), tuple(table[w] for w in dom))
+        table[w.letters] = v.letters
+        known[w.letters] = w
+        known[v.letters] = v
+    return _element(_reduce(table, alphabet.degree), alphabet, known)
 
 
 def make_element(domain: PartitionSet, images) -> VnElement:
@@ -145,18 +177,34 @@ def _require_same_alphabet(g: VnElement, h: VnElement) -> None:
 
 
 def compose(g: VnElement, h: VnElement) -> VnElement:
-    """The element x -> g(h(x)); in the product g*h the right factor acts first."""
+    """The element x -> g(h(x)); in the product g*h the right factor acts first.
+
+    Each row w -> v of h meets g either at the one domain word of g that
+    is a prefix of v (found by dict lookup of v's prefixes), or, when v
+    stops short of g's domain, at the contiguous run of g's sorted domain
+    words that extend v (found by bisection).
+    """
     _require_same_alphabet(g, h)
-    g_pairs = g.pairs()
-    out: list[Pair] = []
-    for w, v in h.pairs():
-        for u, z in g_pairs:
-            if u.is_prefix_of(v):
-                out.append((w, z + v.drop(len(u))))
-            elif v.is_proper_prefix_of(u):
-                s = u.drop(len(v))
-                out.append((w + s, z))
-    return canonicalize(out, g.alphabet)
+    g_dom = [u.letters for u in g.domain.words]
+    g_map = dict(zip(g_dom, [z.letters for z in g.images]))
+    known = {z.letters: z for z in g.images}
+    table: dict[tuple, tuple] = {}
+    for w_word, v_word in h.pairs():
+        w, v = w_word.letters, v_word.letters
+        known[w] = w_word
+        for k in range(len(v) + 1):
+            z = g_map.get(v[:k])
+            if z is not None:
+                table[w] = z + v[k:]
+                break
+        else:
+            cut = len(v)
+            for i in range(bisect_left(g_dom, v), len(g_dom)):
+                u = g_dom[i]
+                if u[:cut] != v:
+                    break
+                table[w + u[cut:]] = g_map[u]
+    return _element(_reduce(table, g.alphabet.degree), g.alphabet, known)
 
 
 def invert(g: VnElement) -> VnElement:
@@ -168,11 +216,16 @@ def invert(g: VnElement) -> VnElement:
 
 
 def power(g: VnElement, k: int) -> VnElement:
+    """g^k by square-and-multiply; a negative k powers the inverse."""
     if k < 0:
         return power(invert(g), -k)
     acc = identity(g.alphabet)
-    for _ in range(k):
-        acc = compose(acc, g)
+    while k:
+        if k & 1:
+            acc = compose(acc, g)
+        k >>= 1
+        if k:
+            g = compose(g, g)
     return acc
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .element import VnElement, compose, format_element, identity, invert, parse_element
-from .errors import AlphabetMismatchError, FileFormatError
+from .errors import AlphabetMismatchError, FileFormatError, ParameterRangeError
 from .words import Alphabet
 
 GenWord = tuple[str, ...]
@@ -125,9 +125,9 @@ def grow_ball(
     ``workers`` has no effect: the expansion is serial.
     """
     if radius < 0:
-        raise ValueError("radius must be >= 0")
+        raise ParameterRangeError("radius must be >= 0")
     if cap < 1:
-        raise ValueError("cap must be >= 1")
+        raise ParameterRangeError("cap must be >= 1")
     tokens = gens.tokens()
     ident = identity(gens.alphabet)
     entries: list[tuple[GenWord, VnElement]] = [((), ident)]

@@ -1,7 +1,13 @@
 """End-to-end checks of the command-line surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import vncalc
 from vncalc.cli import main
 from vncalc.constructions import (
     default_base,
@@ -202,6 +208,31 @@ def test_out_of_range_parameter_is_reported(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("radius, cap", [("-1", "100"), ("2", "0")])
+def test_ball_out_of_range_parameter_is_reported(tmp_path, capsys, radius, cap):
+    (tmp_path / "sigma.elt").write_text(format_element(sigma_dot(A2)) + "\n")
+    manifest = tmp_path / "gens.txt"
+    manifest.write_text("gen sigma sigma.elt\n")
+    code, _, err = run(
+        capsys, "ball", "--gens", str(manifest), "--radius", radius,
+        "--cap", cap, "--out", str(tmp_path / "ball.txt"),
+    )
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(vncalc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vncalc", "verify", "eq2", "-n", "2", "--count", "1", "--kmax", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].endswith("PASS")
 
 
 def test_verify_with_no_checks_fails(capsys):

@@ -3,8 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import W, parity_by_inversions, random_volume_preserving, words
+from conftest import (
+    W,
+    naive_canonicalize,
+    naive_compose,
+    parity_by_inversions,
+    random_volume_preserving,
+    words,
+)
 from vncalc.element import (
     ConeKind,
     apply_point,
@@ -191,12 +200,17 @@ def test_inverse_and_conjugation_axioms():
 
 def test_power_agrees_with_iterated_product():
     rng = random.Random(7)
-    g = random_element(A2, rng)
-    acc = identity(A2)
-    for k in range(5):
-        assert power(g, k) == acc
-        acc = compose(acc, g)
-    assert power(g, -2) == invert(compose(g, g))
+    for n in (2, 3):
+        alphabet = Alphabet(n)
+        g = random_element(alphabet, rng)
+        g_inv = invert(g)
+        acc = back = identity(alphabet)
+        for k in range(21):
+            assert power(g, k) == acc
+            assert power(g, -k) == back
+            acc = compose(acc, g)
+            back = compose(back, g_inv)
+        assert power(g, -2) == invert(compose(g, g))
 
 
 def test_conjugating_embedded_by_t_translates():
@@ -216,6 +230,54 @@ def test_alphabet_mismatch_raises():
         compose(sigma_dot(A2), sigma_dot(A3))
     with pytest.raises(AlphabetMismatchError):
         equals(sigma_dot(A2), sigma_dot(A3))
+
+
+# --- the kernel against the naive oracle --------------------------------------
+
+
+@st.composite
+def deep_products(draw):
+    """(g, h) over n in {2, 3, 5}: one factor has 40-100 carets, the other 1-100.
+
+    Either factor may be the identity, and the large factor may stand on
+    either side.
+    """
+    alphabet = Alphabet(draw(st.sampled_from((2, 3, 5))))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    big = random_element(alphabet, rng, draw(st.integers(40, 100)), max_depth=None)
+    small = random_element(alphabet, rng, draw(st.integers(1, 100)), max_depth=None)
+    trivial = draw(st.sampled_from(("none",) * 4 + ("big", "small")))
+    if trivial == "big":
+        big = identity(alphabet)
+    elif trivial == "small":
+        small = identity(alphabet)
+    return (big, small) if draw(st.booleans()) else (small, big)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(deep_products())
+def test_compose_matches_naive_oracle(factors):
+    g, h = factors
+    assert format_element(compose(g, h)) == format_element(naive_compose(g, h))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(deep_products(), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_canonicalize_ignores_merge_order(factors, refinements, seed):
+    # Refine random rows of a product table (children of refined rows
+    # too), shuffle the rows, and reduce: every merge order must give
+    # back the same element.
+    g, h = factors
+    gh = compose(g, h)
+    rng = random.Random(seed)
+    pairs = list(gh.pairs())
+    for _ in range(refinements):
+        target = rng.choice(pairs)[0]
+        pairs = refine_pairs(pairs, target, gh.alphabet)
+    rng.shuffle(pairs)
+    reduced = canonicalize(pairs, gh.alphabet)
+    assert reduced == gh
+    assert format_element(reduced) == format_element(naive_canonicalize(pairs, gh.alphabet))
 
 
 # --- evaluation ---------------------------------------------------------------
