@@ -32,6 +32,10 @@ from .words import (
     PartitionSet,
     RationalPoint,
     Word,
+    _check_antichain,
+    _check_degree,
+    _parse_letters,
+    _word,
     check_letters,
     point_normalize,
     random_partition,
@@ -121,15 +125,22 @@ def _reduce(table: dict[tuple, tuple], degree: int) -> dict[tuple, tuple]:
 def _element(
     table: dict[tuple, tuple], alphabet: Alphabet, known: dict[tuple, Word]
 ) -> VnElement:
-    """Wrap a reduced table in Words, reusing ``known`` Words for unchanged letters."""
+    """Wrap a reduced, already validated table in Words without checking it again.
+
+    ``known`` maps letter tuples to Words to reuse; every other tuple gets
+    one new Word, added to ``known``, so a domain row and an image row with
+    the same letters share it.
+    """
 
     def word(letters: tuple) -> Word:
         w = known.get(letters)
-        return Word(letters) if w is None else w
+        if w is None:
+            w = known[letters] = _word(letters)
+        return w
 
     dom = sorted(table)
     return VnElement(
-        PartitionSet(alphabet, tuple(word(w) for w in dom)),
+        PartitionSet(alphabet, tuple(map(word, dom))),
         tuple(word(table[w]) for w in dom),
     )
 
@@ -155,19 +166,31 @@ def canonicalize(pairs, alphabet: Alphabet) -> VnElement:
     return _element(_reduce(table, alphabet.degree), alphabet, known)
 
 
+def _check_image_partition(images: set[tuple], degree: int) -> None:
+    try:
+        _check_antichain(sorted(images), degree)
+    except NotAPartitionError as exc:
+        raise NotABijectionError(f"images are not a partition set: {exc}") from exc
+
+
 def make_element(domain: PartitionSet, images) -> VnElement:
-    """Build the element sending each domain word to its listed image."""
+    """Build the element sending each domain word to its listed image.
+
+    Images may be Words or word texts.  They are validated here: the count
+    must match the domain (``ArityError``), letters must lie in the
+    alphabet (``MalformedWordError``, first bad image in list order), and
+    the images must be distinct and form a partition set
+    (``NotABijectionError``).  The domain is trusted as a ``PartitionSet``.
+    """
     images = [w if isinstance(w, Word) else Word.parse(w) for w in images]
     if len(images) != len(domain):
         raise ArityError(f"{len(domain)} domain words but {len(images)} images")
-    if len(set(images)) != len(images):
+    letters = [v.letters for v in images]
+    image_set = set(letters)
+    if len(image_set) != len(letters):
         raise NotABijectionError("image words are not distinct")
-    for v in images:
-        check_letters(v, domain.alphabet)
-    try:
-        PartitionSet.from_words(images, domain.alphabet)
-    except NotAPartitionError as exc:
-        raise NotABijectionError(f"images are not a partition set: {exc}") from exc
+    _check_degree(letters, domain.alphabet.degree)
+    _check_image_partition(image_set, domain.alphabet.degree)
     return canonicalize(zip(domain.words, images), domain.alphabet)
 
 
@@ -445,7 +468,15 @@ def format_element(g: VnElement) -> str:
 
 
 def parse_element(text: str) -> VnElement:
-    """Parse the text form; non-canonical tables are accepted and reduced."""
+    """Parse the text form; non-canonical tables are accepted and reduced.
+
+    Every row is parsed straight into letter tuples and checked against
+    the alphabet (``FileFormatError`` with its line number).  The domain
+    must then form a partition set without repeats (``FileFormatError``),
+    and the images must be distinct and form a partition set
+    (``NotABijectionError``).  The checked table is reduced and wrapped
+    without validating its words again.
+    """
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
     lines = [(i, ln) for i, ln in lines if ln]
     if not lines:
@@ -458,23 +489,37 @@ def parse_element(text: str) -> VnElement:
         alphabet = Alphabet(int(parts[1]))
     except ValueError as exc:
         raise FileFormatError(str(exc), lineno) from exc
+    degree = alphabet.degree
+    in_alphabet = frozenset(alphabet.letters)
     rows = []
     for lineno, ln in lines[1:]:
         if "->" not in ln:
             raise FileFormatError(f"expected '<word> -> <word>', got {ln!r}", lineno)
         left, right = ln.split("->", 1)
+        # A row of plain letters in 1..degree is taken as it stands; "eps"
+        # and every defect go through the word parser for its exact error.
+        # The lists give exact-size tuples, as in ``_parse_letters``.
         try:
-            w, v = Word.parse(left), Word.parse(right)
-            check_letters(w, alphabet)
-            check_letters(v, alphabet)
-        except VnError as exc:
-            raise FileFormatError(str(exc), lineno) from exc
+            w = tuple([*map(int, left.split("."))])
+            v = tuple([*map(int, right.split("."))])
+        except ValueError:
+            w = v = None
+        if w is None or not (in_alphabet.issuperset(w) and in_alphabet.issuperset(v)):
+            try:
+                w, v = _parse_letters(left), _parse_letters(right)
+                _check_degree((w, v), degree)
+            except VnError as exc:
+                raise FileFormatError(str(exc), lineno) from exc
         rows.append((w, v))
+    table = dict(rows)
     try:
-        dom = PartitionSet.from_words([w for w, _ in rows], alphabet)
+        _check_antichain(sorted(table), degree)
     except NotAPartitionError as exc:
         raise FileFormatError(f"domain is not a partition set: {exc}") from exc
-    if len(dom) != len(rows):
+    if len(table) != len(rows):
         raise FileFormatError("duplicate domain words")
-    table = dict(rows)
-    return make_element(dom, [table[w] for w in dom.words])
+    image_set = set(table.values())
+    if len(image_set) != len(table):
+        raise NotABijectionError("image words are not distinct")
+    _check_image_partition(image_set, degree)
+    return _element(_reduce(table, degree), alphabet, {})

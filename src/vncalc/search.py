@@ -31,12 +31,12 @@ class GeneratorSet:
     @classmethod
     def from_dict(cls, named: dict[str, VnElement]) -> GeneratorSet:
         if not named:
-            raise ValueError("at least one generator is required")
+            raise ParameterRangeError("at least one generator is required")
         items = sorted(named.items())
         alphabet = items[0][1].alphabet
         for name, g in items:
             if not name or any(ch.isspace() for ch in name) or "^" in name:
-                raise ValueError(f"bad generator name {name!r}")
+                raise ParameterRangeError(f"bad generator name {name!r}")
             if g.alphabet != alphabet:
                 raise AlphabetMismatchError(f"generator {name} uses a different alphabet")
         return cls(alphabet, tuple(items))

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
+from operator import attrgetter
 
 from .errors import (
     AlphabetMismatchError,
@@ -47,6 +48,11 @@ class Word:
     ``eps``.  Tuple ordering of the letters gives the lexicographic order
     used throughout (within an antichain no word prefixes another, so no
     shortlex subtlety arises).
+
+    ``Word(letters)`` and ``Word.parse`` validate their letters.  Words
+    derived from valid words (``+``, ``take``, ``drop``, ``parent``) and
+    the tables built by the element kernel are wrapped by ``_word``
+    without a second check.
     """
 
     letters: tuple[int, ...] = ()
@@ -63,10 +69,10 @@ class Word:
         return iter(self.letters)
 
     def __add__(self, other: Word) -> Word:
-        return Word(self.letters + other.letters)
+        return _word(self.letters + other.letters)
 
     def __str__(self) -> str:
-        return "eps" if not self.letters else ".".join(str(x) for x in self.letters)
+        return ".".join(map(str, self.letters)) if self.letters else "eps"
 
     def child(self, letter: int) -> Word:
         return Word(self.letters + (letter,))
@@ -74,17 +80,17 @@ class Word:
     def parent(self) -> Word:
         if not self.letters:
             raise MalformedWordError("the empty word has no parent")
-        return Word(self.letters[:-1])
+        return _word(self.letters[:-1])
 
     def last(self) -> int:
         return self.letters[-1]
 
     def drop(self, k: int) -> Word:
         """Suffix after removing the first k letters."""
-        return Word(self.letters[k:])
+        return _word(self.letters[k:])
 
     def take(self, k: int) -> Word:
-        return Word(self.letters[:k])
+        return _word(self.letters[:k])
 
     def is_prefix_of(self, other: Word) -> bool:
         """True when self is a (not necessarily proper) prefix of other."""
@@ -98,18 +104,38 @@ class Word:
 
     @staticmethod
     def parse(text: str) -> Word:
-        text = text.strip()
-        if text == "eps":
-            return Word()
-        if not text:
-            raise MalformedWordError("empty word text; write 'eps' for the empty word")
-        letters = []
-        for part in text.split("."):
-            try:
-                letters.append(int(part))
-            except ValueError:
-                raise MalformedWordError(f"bad word syntax {text!r}") from None
-        return Word(tuple(letters))
+        """Parse ``1.1.2`` or ``eps``; letters are checked here, once."""
+        return _word(_parse_letters(text))
+
+
+def _word(letters: tuple[int, ...]) -> Word:
+    """Wrap letters already known to be integers >= 1, skipping validation."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
+def _text(letters: tuple[int, ...]) -> str:
+    return str(_word(letters))
+
+
+def _parse_letters(text: str) -> tuple[int, ...]:
+    """Letter tuple of a word's text form, with ``Word.parse``'s checks and errors."""
+    text = text.strip()
+    if text == "eps":
+        return ()
+    if not text:
+        raise MalformedWordError("empty word text; write 'eps' for the empty word")
+    # Built from a list, so the tuple gets its exact size: a tuple grown
+    # from an iterator can keep a larger memory block than it needs.
+    try:
+        letters = tuple([*map(int, text.split("."))])
+    except ValueError:
+        raise MalformedWordError(f"bad word syntax {text!r}") from None
+    if min(letters) < 1:
+        bad = next(x for x in letters if x < 1)
+        raise MalformedWordError(f"letters must be integers >= 1, got {bad!r}")
+    return letters
 
 
 EPS = Word()
@@ -117,11 +143,39 @@ EPS = Word()
 
 def check_letters(w: Word, alphabet: Alphabet) -> None:
     """Raise unless every letter of w lies in 1..degree."""
-    for x in w.letters:
-        if x > alphabet.degree:
+    _check_degree((w.letters,), alphabet.degree)
+
+
+def _check_degree(words, degree: int) -> None:
+    """Raise for the first letter above degree, scanning the letter tuples in order."""
+    for w in words:
+        if w and max(w) > degree:
+            bad = next(x for x in w if x > degree)
             raise MalformedWordError(
-                f"letter {x} of word {w} exceeds alphabet degree {alphabet.degree}"
+                f"letter {bad} of word {_text(w)} exceeds alphabet degree {degree}"
             )
+
+
+def _check_antichain(ws: list[tuple[int, ...]], degree: int) -> None:
+    """Raise unless sorted, distinct letter tuples form a partition set.
+
+    Letters must already lie in 1..degree: each caller runs
+    ``_check_degree`` first, in the order its error should report.  A
+    prefix overlap is reported before incompleteness.  In sorted order
+    the shortest prefix of the first overlapping word sits directly
+    before it, so adjacent pairs suffice.  Completeness is the integer
+    Kraft sum: sum of n**(depth - len(w)) equals n**depth.
+    """
+    for a, b in zip(ws, ws[1:]):
+        if b[: len(a)] == a:
+            raise NotAPartitionError(f"{_text(a)} is a proper prefix of {_text(b)}")
+    depth = max(map(len, ws), default=0)
+    powers = [degree**k for k in range(depth + 1)]
+    total = sum(powers[depth - len(w)] for w in ws)
+    if total != powers[depth]:
+        raise NotAPartitionError(
+            f"cone measures sum to {Fraction(total, powers[depth])}, expected 1"
+        )
 
 
 def repeat_letter(letter: int, k: int) -> Word:
@@ -165,15 +219,15 @@ class RationalPoint:
         letters = list(self.preperiod.letters)
         while len(letters) < k:
             letters.extend(self.period.letters)
-        return Word(tuple(letters[:k]))
+        return _word(tuple(letters[:k]))
 
     def drop(self, k: int) -> RationalPoint:
         """The point obtained by deleting the first k letters."""
         pre, per = self.preperiod.letters, self.period.letters
         if k <= len(pre):
-            return point_normalize(Word(pre[k:]), Word(per))
+            return point_normalize(_word(pre[k:]), _word(per))
         m = (k - len(pre)) % len(per)
-        return point_normalize(EPS, Word(per[m:] + per[:m]))
+        return point_normalize(EPS, _word(per[m:] + per[:m]))
 
     def __str__(self) -> str:
         return f"{self.preperiod}:{self.period}"
@@ -200,7 +254,7 @@ def point_normalize(pre: Word, per: Word) -> RationalPoint:
     while p and p[-1] == q[-1]:
         p.pop()
         q = [q[-1]] + q[:-1]
-    return RationalPoint(Word(tuple(p)), Word(tuple(q)))
+    return RationalPoint(_word(tuple(p)), _word(tuple(q)))
 
 
 @dataclass(frozen=True)
@@ -217,26 +271,22 @@ class PartitionSet:
 
     @classmethod
     def from_words(cls, words, alphabet: Alphabet) -> PartitionSet:
-        ws = sorted(set(words))
-        for w in ws:
-            check_letters(w, alphabet)
-        wordset = set(ws)
-        for w in ws:
-            for k in range(len(w)):
-                if w.take(k) in wordset:
-                    raise NotAPartitionError(f"{w.take(k)} is a proper prefix of {w}")
-        total = sum(
-            (Fraction(1, alphabet.degree ** len(w)) for w in ws), start=Fraction(0)
-        )
-        if total != 1:
-            raise NotAPartitionError(f"cone measures sum to {total}, expected 1")
+        """The validating constructor: duplicates are dropped, then the words must
+        stay within the alphabet, be prefix-free and tile the Cantor set.
+
+        Raises ``MalformedWordError`` or ``NotAPartitionError``.
+        """
+        ws = sorted(set(words), key=attrgetter("letters"))
+        letters = [w.letters for w in ws]
+        _check_degree(letters, alphabet.degree)
+        _check_antichain(letters, alphabet.degree)
         return cls(alphabet, tuple(ws))
 
     @classmethod
     def level(cls, alphabet: Alphabet, depth: int) -> PartitionSet:
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        ws = tuple(Word(p) for p in _cartesian(alphabet.letters, repeat=depth))
+        ws = tuple(_word(p) for p in _cartesian(alphabet.letters, repeat=depth))
         return cls(alphabet, tuple(sorted(ws)))
 
     def __len__(self) -> int:
@@ -299,7 +349,7 @@ def expand_to_level(a: PartitionSet, depth: int) -> PartitionSet:
     out = []
     for w in a.words:
         for tail in _cartesian(a.alphabet.letters, repeat=depth - len(w)):
-            out.append(w + Word(tail))
+            out.append(w + _word(tail))
     return PartitionSet(a.alphabet, tuple(sorted(out)))
 
 

@@ -7,15 +7,28 @@ plain leaf-index permutation tuples instead of element arithmetic.
 ``naive_compose``/``naive_canonicalize`` are the original quadratic
 prefix-scan product and restart-after-every-merge reduction, kept as the
 reference for the dict-and-bisect kernel in ``vncalc.element``.
+``naive_parse_word``, ``naive_check_letters``, ``naive_from_words``,
+``naive_make_element`` and ``naive_parse_element`` are the original
+validate-every-Word parsers and checks, kept as the reference for the
+tuple-level validation in ``vncalc.words`` and ``vncalc.element``: they
+must accept the same tables and raise the same errors, byte for byte.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 from vncalc.element import VnElement, _require_same_alphabet
-from vncalc.errors import NotABijectionError
+from vncalc.errors import (
+    ArityError,
+    FileFormatError,
+    MalformedWordError,
+    NotABijectionError,
+    NotAPartitionError,
+    VnError,
+)
 from vncalc.words import Alphabet, PartitionSet, Word
 
 Pair = tuple[Word, Word]
@@ -82,6 +95,99 @@ def naive_compose(g: VnElement, h: VnElement) -> VnElement:
                 s = u.drop(len(v))
                 out.append((w + s, z))
     return naive_canonicalize(out, g.alphabet)
+
+
+def naive_parse_word(text: str) -> Word:
+    text = text.strip()
+    if text == "eps":
+        return Word()
+    if not text:
+        raise MalformedWordError("empty word text; write 'eps' for the empty word")
+    letters = []
+    for part in text.split("."):
+        try:
+            letters.append(int(part))
+        except ValueError:
+            raise MalformedWordError(f"bad word syntax {text!r}") from None
+    return Word(tuple(letters))
+
+
+def naive_check_letters(w: Word, alphabet: Alphabet) -> None:
+    """Raise unless every letter of w lies in 1..degree."""
+    for x in w.letters:
+        if x > alphabet.degree:
+            raise MalformedWordError(
+                f"letter {x} of word {w} exceeds alphabet degree {alphabet.degree}"
+            )
+
+
+def naive_from_words(words, alphabet: Alphabet) -> PartitionSet:
+    ws = sorted(set(words))
+    for w in ws:
+        naive_check_letters(w, alphabet)
+    wordset = set(ws)
+    for w in ws:
+        for k in range(len(w)):
+            if w.take(k) in wordset:
+                raise NotAPartitionError(f"{w.take(k)} is a proper prefix of {w}")
+    total = sum(
+        (Fraction(1, alphabet.degree ** len(w)) for w in ws), start=Fraction(0)
+    )
+    if total != 1:
+        raise NotAPartitionError(f"cone measures sum to {total}, expected 1")
+    return PartitionSet(alphabet, tuple(ws))
+
+
+def naive_make_element(domain: PartitionSet, images) -> VnElement:
+    """Build the element sending each domain word to its listed image."""
+    images = [w if isinstance(w, Word) else naive_parse_word(w) for w in images]
+    if len(images) != len(domain):
+        raise ArityError(f"{len(domain)} domain words but {len(images)} images")
+    if len(set(images)) != len(images):
+        raise NotABijectionError("image words are not distinct")
+    for v in images:
+        naive_check_letters(v, domain.alphabet)
+    try:
+        naive_from_words(images, domain.alphabet)
+    except NotAPartitionError as exc:
+        raise NotABijectionError(f"images are not a partition set: {exc}") from exc
+    return naive_canonicalize(zip(domain.words, images), domain.alphabet)
+
+
+def naive_parse_element(text: str) -> VnElement:
+    """Parse the text form; non-canonical tables are accepted and reduced."""
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
+    lines = [(i, ln) for i, ln in lines if ln]
+    if not lines:
+        raise FileFormatError("empty element text")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "vn":
+        raise FileFormatError(f"expected 'vn <degree>', got {header!r}", lineno)
+    try:
+        alphabet = Alphabet(int(parts[1]))
+    except ValueError as exc:
+        raise FileFormatError(str(exc), lineno) from exc
+    rows = []
+    for lineno, ln in lines[1:]:
+        if "->" not in ln:
+            raise FileFormatError(f"expected '<word> -> <word>', got {ln!r}", lineno)
+        left, right = ln.split("->", 1)
+        try:
+            w, v = naive_parse_word(left), naive_parse_word(right)
+            naive_check_letters(w, alphabet)
+            naive_check_letters(v, alphabet)
+        except VnError as exc:
+            raise FileFormatError(str(exc), lineno) from exc
+        rows.append((w, v))
+    try:
+        dom = naive_from_words([w for w, _ in rows], alphabet)
+    except NotAPartitionError as exc:
+        raise FileFormatError(f"domain is not a partition set: {exc}") from exc
+    if len(dom) != len(rows):
+        raise FileFormatError("duplicate domain words")
+    table = dict(rows)
+    return naive_make_element(dom, [table[w] for w in dom.words])
 
 
 def tree_complete_oracle(word_list, n: int) -> bool:

@@ -1,0 +1,69 @@
+"""The benchmark's outside-in tracer still finds the package's hook points.
+
+``perfbench/tracer.py`` wraps the public functions of every module,
+``Word.__post_init__`` and ``PartitionSet.from_words`` by name, and its
+``StepClock`` stamps returns from named functions.  The benchmark's own
+self-tests are not part of this suite, so this test catches a refactor
+that moves one of those hooks.  The tracer source is only read, never
+imported as a package module, so nothing is written next to it.
+"""
+
+import random
+import types
+from pathlib import Path
+
+import vncalc.element as element
+import vncalc.words as words
+from vncalc.words import Alphabet
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer() -> types.ModuleType:
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def test_benchmark_tracer_records_spans_and_restores_hooks():
+    tracer_module = load_tracer()
+    a2 = Alphabet(2)
+    g = element.random_element(a2, random.Random(0), 8, max_depth=None)
+    text = element.format_element(g)
+    originals = (
+        element.compose,
+        element.parse_element,
+        words.Word.__dict__["__post_init__"],
+        words.PartitionSet.__dict__["from_words"],
+    )
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        product = element.compose(g, g)
+        parsed = element.parse_element(text)
+        domain = words.PartitionSet.from_words(list(g.domain.words), a2)
+        words.Word((1, 2))
+    finally:
+        tracer.uninstall()
+
+    assert parsed == g
+    assert domain == g.domain
+    stats = tracer.summarize()
+    for name in ("element.compose", "element.parse_element", "words.from_words"):
+        assert stats[name]["calls"] >= 1, name
+    assert tracer.counters["words.word_new.calls"] >= 1
+    assert tracer.counters["element.compose.rows_out"] == len(product.images)
+    assert originals == (
+        element.compose,
+        element.parse_element,
+        words.Word.__dict__["__post_init__"],
+        words.PartitionSet.__dict__["from_words"],
+    )
+
+    with tracer_module.StepClock(("element.compose", "element.parse_element")) as clock:
+        element.compose(g, g)
+        element.parse_element(text)
+    assert len(clock.ends) == 2
+    assert element.compose is originals[0]

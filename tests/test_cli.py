@@ -223,6 +223,30 @@ def test_ball_out_of_range_parameter_is_reported(tmp_path, capsys, radius, cap):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["ball", "find"])
+@pytest.mark.parametrize(
+    "manifest_text, message",
+    [
+        ("# only a comment\n", "error: at least one generator is required\n"),
+        ("gen a^b s.elt\n", "error: bad generator name 'a^b'\n"),
+    ],
+    ids=["comment-only", "caret-in-name"],
+)
+def test_bad_generator_manifest_is_reported(tmp_path, capsys, command, manifest_text, message):
+    (tmp_path / "s.elt").write_text(format_element(sigma_dot(A2)) + "\n")
+    manifest = tmp_path / "gens.txt"
+    manifest.write_text(manifest_text)
+    tail = (
+        ["--out", str(tmp_path / "ball.txt")]
+        if command == "ball"
+        else ["--target", str(tmp_path / "s.elt")]
+    )
+    code, out, err = run(capsys, command, "--gens", str(manifest), "--radius", "1", *tail)
+    assert code == 1
+    assert out == ""
+    assert err == message
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(vncalc.__file__).resolve().parents[1])
     env = dict(os.environ)
