@@ -9,6 +9,7 @@ nonzero whenever a check fails or an input is rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .constructions import (
@@ -293,8 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (VnError, OSError) as exc:

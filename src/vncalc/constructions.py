@@ -9,6 +9,7 @@ difference property.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -87,15 +88,42 @@ def dot(p: Permutation, alphabet: Alphabet) -> VnElement:
 
 
 def sigma_dot(alphabet: Alphabet) -> VnElement:
-    """The lift of the transposition (1 2), fixed throughout as sigma."""
-    return dot(Permutation.from_cycles([(1, 2)], alphabet.degree), alphabet)
+    """The lift of the transposition (1 2), fixed throughout as sigma.
+
+    Built once per alphabet; every call returns the same element.
+    """
+    return _sigma_dot(alphabet)
 
 
 def make_tau(alphabet: Alphabet) -> VnElement:
     """The involution swapping the cone at 1.i with the cone at i+1.
 
     Runs over 1 <= i < n; the leftover cone at 1.n is fixed pointwise.
+    Built once per alphabet; every call returns the same element.
     """
+    return _make_tau(alphabet)
+
+
+def make_t(alphabet: Alphabet) -> VnElement:
+    """sigma * tau: translates one step along the spine 1.1.1...
+
+    Built once per alphabet; every call returns the same element.
+    """
+    return _make_t(alphabet)
+
+
+# The named generators depend only on the degree.  The caches sit behind
+# the public functions, which stay plain functions, so that callers and
+# the benchmark's tracer still see every call by its public name.
+
+
+@functools.cache
+def _sigma_dot(alphabet: Alphabet) -> VnElement:
+    return dot(Permutation.from_cycles([(1, 2)], alphabet.degree), alphabet)
+
+
+@functools.cache
+def _make_tau(alphabet: Alphabet) -> VnElement:
     n = alphabet.degree
     pairs = []
     for i in range(1, n):
@@ -105,8 +133,8 @@ def make_tau(alphabet: Alphabet) -> VnElement:
     return canonicalize(pairs, alphabet)
 
 
-def make_t(alphabet: Alphabet) -> VnElement:
-    """sigma * tau: translates one step along the spine 1.1.1..."""
+@functools.cache
+def _make_t(alphabet: Alphabet) -> VnElement:
     return compose(sigma_dot(alphabet), make_tau(alphabet))
 
 

@@ -12,10 +12,15 @@ Grammar::
 Postfix binds tighter than '*'; whitespace is ignored.  ``g^-1`` is the
 inverse, ``g^k`` an integer power, and ``g^h`` conjugation by h.  In a
 product the right factor acts first.
+
+Each '(', '[', constructor call and postfix '^' opens one nesting level;
+an expression deeper than ``MAX_NESTING`` levels is rejected while it is
+parsed, so parsing, evaluating and printing never recurse deeper.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -112,11 +117,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# A level costs the parser at most four Python frames (an embed call), so
+# 200 levels stay well inside CPython's default limit of 1000 frames.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
@@ -134,6 +145,14 @@ class _Parser:
     def fail(self, message: str):
         raise ExpressionError(message, self.peek()[2])
 
+    def enter(self, where: int) -> None:
+        """Open one nesting level; the caller closes it by lowering depth."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(
+                f"expression nests deeper than {MAX_NESTING} levels", where
+            )
+
     def parse(self) -> Expr:
         expr = self.parse_expr()
         if self.pos != len(self.tokens):
@@ -149,8 +168,9 @@ class _Parser:
 
     def parse_term(self) -> Expr:
         node = self.parse_atom()
+        depth = self.depth
         while self.peek()[1] == "^":
-            self.next()
+            self.enter(self.next()[2])
             kind, text, _ = self.peek()
             if text == "-":
                 self.next()
@@ -163,33 +183,42 @@ class _Parser:
                 node = Power(node, int(text))
             else:
                 node = Conjugation(node, self.parse_atom())
+        self.depth = depth
         return node
 
     def parse_atom(self) -> Expr:
         kind, text, where = self.peek()
         if text == "(":
+            self.enter(where)
             self.next()
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if text == "[":
+            self.enter(where)
             self.next()
             left = self.parse_expr()
             self.expect(",")
             right = self.parse_expr()
             self.expect("]")
+            self.depth -= 1
             return CommutatorExpr(left, right)
         if kind == "name":
             self.next()
             if self.peek()[1] != "(":
                 return NameRef(text)
+            self.enter(where)
             if text == "dot":
-                return self.parse_dot_call()
-            if text == "embed":
-                return self.parse_embed_call()
-            if text == "s":
-                return self.parse_spinal_call()
-            raise ExpressionError(f"unknown constructor {text!r}", where)
+                node = self.parse_dot_call()
+            elif text == "embed":
+                node = self.parse_embed_call()
+            elif text == "s":
+                node = self.parse_spinal_call()
+            else:
+                raise ExpressionError(f"unknown constructor {text!r}", where)
+            self.depth -= 1
+            return node
         raise ExpressionError(f"expected an atom, got {text!r}", where)
 
     def parse_dot_call(self) -> Expr:
@@ -276,14 +305,26 @@ class EvalEnv:
 
 
 def default_env(alphabet: Alphabet, extra: dict[str, VnElement] | None = None) -> EvalEnv:
+    """``id``, ``sigma``, ``tau`` and ``t``, then the ``extra`` bindings.
+
+    Without ``extra`` the env is built once per alphabet and shared; with
+    it, a new env is built on top and the shared one is left as it is.
+    """
+    if not extra:
+        return _default_env(alphabet)
+    names = dict(_default_env(alphabet).bindings)
+    names.update(extra)
+    return EvalEnv(alphabet, tuple(sorted(names.items())))
+
+
+@functools.cache
+def _default_env(alphabet: Alphabet) -> EvalEnv:
     names = {
         "id": identity(alphabet),
         "sigma": sigma_dot(alphabet),
         "tau": make_tau(alphabet),
         "t": make_t(alphabet),
     }
-    if extra:
-        names.update(extra)
     return EvalEnv(alphabet, tuple(sorted(names.items())))
 
 

@@ -138,14 +138,17 @@ def grow_ball(
     for _ in range(radius):
         fresh: list[tuple[GenWord, VnElement]] = []
         if not truncated:
+            # One hash per candidate: a new element is one that grows seen.
+            # At the cap only a lookup may run, so truncation stays exact.
             for word, g in _expand_frontier(frontier, tokens):
-                if g in seen:
-                    continue
-                if len(seen) >= cap:
+                size = len(seen)
+                if size < cap:
+                    seen.add(g)
+                    if len(seen) > size:
+                        fresh.append((word, g))
+                elif g not in seen:
                     truncated = True
                     break
-                seen.add(g)
-                fresh.append((word, g))
         entries.extend(fresh)
         sizes.append(len(entries))
         frontier = fresh
@@ -174,11 +177,12 @@ def find_element(
     for _ in range(max_radius):
         fresh = []
         for word, g in _expand_frontier(frontier, tokens):
-            if g in seen:
+            size = len(seen)
+            seen.add(g)
+            if len(seen) == size:
                 continue
             if g == target:
                 return word
-            seen.add(g)
             fresh.append((word, g))
         frontier = fresh
     return None

@@ -7,6 +7,7 @@ canonical tables for diffing.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -285,9 +286,7 @@ def verify_involution_suite(
     if alpha is not None:
         checks.append(make_s_alpha(alpha, alphabet))
     else:
-        for size in base_sizes:
-            plan = plan_alpha(default_base(alphabet, size))
-            checks.append(make_s_alpha(plan))
+        checks.extend(make_s_alpha(plan) for plan in _planned(alphabet, base_sizes))
     for g in checks:
         square = compose(g, g)
         if square != ident:
@@ -323,7 +322,13 @@ def translation_suite(
 
 
 def _planned(alphabet: Alphabet, sizes=(1, 2, 3)) -> list[AlphaPlan]:
-    return [plan_alpha(default_base(alphabet, size)) for size in sizes]
+    """Plans over the default bases of the given sizes, each built once."""
+    return [_plan(alphabet, size) for size in sizes]
+
+
+@functools.cache
+def _plan(alphabet: Alphabet, size: int) -> AlphaPlan:
+    return plan_alpha(default_base(alphabet, size))
 
 
 def conjugation_suite(degrees=(2, 3, 5), k_values=range(0, 6)) -> list[VerificationReport]:

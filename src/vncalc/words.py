@@ -40,7 +40,7 @@ class Alphabet:
         return range(1, self.degree + 1)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Word:
     """A finite (possibly empty) word; letters are 1-based integers.
 
@@ -52,7 +52,8 @@ class Word:
     ``Word(letters)`` and ``Word.parse`` validate their letters.  Words
     derived from valid words (``+``, ``take``, ``drop``, ``parent``) and
     the tables built by the element kernel are wrapped by ``_word``
-    without a second check.
+    without a second check.  Slotted: a ball holds hundreds of thousands
+    of words, and none of them carries an instance dict.
     """
 
     letters: tuple[int, ...] = ()

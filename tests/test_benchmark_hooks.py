@@ -2,17 +2,22 @@
 
 ``perfbench/tracer.py`` wraps the public functions of every module,
 ``Word.__post_init__`` and ``PartitionSet.from_words`` by name, and its
-``StepClock`` stamps returns from named functions.  The benchmark's own
-self-tests are not part of this suite, so this test catches a refactor
-that moves one of those hooks.  The tracer source is only read, never
-imported as a package module, so nothing is written next to it.
+``StepClock`` stamps returns from named functions.  It wraps only plain
+functions, so the per-process caches sit behind plain public functions.
+The benchmark's own self-tests are not part of this suite, so this test
+catches a refactor that moves one of those hooks.  The tracer source is
+only read, never imported as a package module, so nothing is written
+next to it.
 """
 
 import random
 import types
 from pathlib import Path
 
+import vncalc.cli as cli
+import vncalc.constructions as constructions
 import vncalc.element as element
+import vncalc.expressions as expressions
 import vncalc.words as words
 from vncalc.words import Alphabet
 
@@ -67,3 +72,22 @@ def test_benchmark_tracer_records_spans_and_restores_hooks():
         element.parse_element(text)
     assert len(clock.ends) == 2
     assert element.compose is originals[0]
+
+
+def test_benchmark_tracer_still_finds_the_cached_entry_points():
+    public = load_tracer()._public_functions
+    found = {
+        f"{module.__name__}.{attr}"
+        for module in (cli, constructions, expressions)
+        for attr, _ in public(module)
+    }
+    for name in (
+        "vncalc.cli.build_parser",
+        "vncalc.cli.main",
+        "vncalc.constructions.sigma_dot",
+        "vncalc.constructions.make_tau",
+        "vncalc.constructions.make_t",
+        "vncalc.constructions.default_base",
+        "vncalc.expressions.default_env",
+    ):
+        assert name in found, name

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import vncalc
-from vncalc.cli import main
+from vncalc import cli
+from vncalc.cli import build_parser, main
 from vncalc.constructions import (
     default_base,
     make_s_alpha,
@@ -189,6 +190,22 @@ def test_expression_error_is_reported(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(" * 3000 + "t" + ")" * 3000,
+        "t" + "^-1" * 3000,
+        "embed(1, " * 400 + "t" + ")" * 400,
+    ],
+    ids=["parens", "inverses", "embeds"],
+)
+def test_deep_expression_is_reported(capsys, expr):
+    code, out, err = run(capsys, "eval", "-n", "2", "-e", expr)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: expression nests deeper than 200 levels")
+
+
 def test_missing_file_is_reported(capsys):
     code, _, err = run(capsys, "canon", "no-such-file.elt")
     assert code == 1
@@ -264,3 +281,33 @@ def test_verify_with_no_checks_fails(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: no checks ran\n"
+
+
+def test_main_builds_one_parser_and_reuses_it(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        code, out, _ = run(capsys, "verify", "eq2", "-n", "2", "--count", "1", "--kmax", "1")
+        assert code == 0
+        assert {line.split()[1] for line in out.splitlines()} == {"n=2"}
+        # -n appends; a reused parser must not carry the last call's list over.
+        code, out, _ = run(capsys, "verify", "eq2", "--count", "1", "--kmax", "1")
+        assert code == 0
+        assert {line.split()[1] for line in out.splitlines()} == {"n=2", "n=3", "n=5"}
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "no-such-suite"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        code, out, _ = run(capsys, "make", "tau", "-n", "2")
+        assert code == 0
+        assert parse_element(out) == make_tau(A2)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()

@@ -28,6 +28,7 @@ from vncalc.constructions import (
 from vncalc.element import (
     apply_point,
     apply_word,
+    canonicalize,
     commutator,
     compose,
     conjugate,
@@ -117,6 +118,20 @@ def test_tau_is_involution_across_degrees():
         alphabet = Alphabet(n)
         assert order_bounded(make_tau(alphabet), 4) == 2
         assert order_bounded(sigma_dot(alphabet), 4) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_named_generators_are_built_once_and_match_their_definitions(n):
+    alphabet = Alphabet(n)
+    fresh_sigma = dot(Permutation.from_cycles([(1, 2)], n), alphabet)
+    rows = [(Word((1, i)), Word((i + 1,))) for i in range(1, n)]
+    rows += [(v, w) for w, v in rows] + [(Word((1, n)), Word((1, n)))]
+    fresh_tau = canonicalize(rows, alphabet)
+    assert sigma_dot(alphabet) == fresh_sigma
+    assert make_tau(alphabet) == fresh_tau
+    assert make_t(alphabet) == compose(fresh_sigma, fresh_tau)
+    for build in (sigma_dot, make_tau, make_t):
+        assert build(Alphabet(n)) is build(alphabet)
 
 
 def test_t_moves_spine_words_up():
@@ -389,6 +404,14 @@ def test_default_base_distinct():
         base = default_base(Alphabet(n), 3)
         assert len(set(base)) == 3
         assert all(not g.is_identity() for g in base)
+
+
+def test_default_base_returns_a_new_list_each_call():
+    base = default_base(A2, 3)
+    expected = list(base)
+    base[0] = identity(A2)
+    base.append(make_t(A2))
+    assert default_base(A2, 3) == expected
 
 
 # --- plan files ------------------------------------------------------------------------------

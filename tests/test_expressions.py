@@ -33,6 +33,7 @@ from vncalc.expressions import (
     Conjugation,
     DotLift,
     EmbedExpr,
+    MAX_NESTING,
     NameRef,
     Power,
     Product,
@@ -97,6 +98,62 @@ def test_parse_errors_carry_position():
             parse_expression(bad)
 
 
+def nest_parens(depth):
+    return "(" * depth + "t" + ")" * depth
+
+
+def nest_inverses(depth):
+    return "t" + "^-1" * depth
+
+
+def nest_embeds(depth):
+    return "embed(1, " * depth + "t" + ")" * depth
+
+
+def nest_commutators(depth):
+    return "[t, " * depth + "t" + "]" * depth
+
+
+def nest_mixed(depth):
+    """Postfix levels inside parentheses add to the parentheses' levels."""
+    half = depth // 2
+    return "(" * half + "t" + "^-1" * (depth - half) + ")" * half
+
+
+def nested_embeds_of_t(depth):
+    g = make_t(A2)
+    for _ in range(depth):
+        g = embed(W("1"), g)
+    return g
+
+
+NESTINGS = [
+    ("parens", nest_parens, lambda depth: make_t(A2)),
+    ("inverses", nest_inverses, lambda depth: power(make_t(A2), (-1) ** depth)),
+    ("embeds", nest_embeds, nested_embeds_of_t),
+    ("commutators", nest_commutators, lambda depth: identity(A2)),
+    ("mixed", nest_mixed, lambda depth: power(make_t(A2), (-1) ** (depth - depth // 2))),
+]
+
+
+@pytest.mark.parametrize("build, expected", [n[1:] for n in NESTINGS], ids=[n[0] for n in NESTINGS])
+def test_nesting_at_the_limit_evaluates_and_prints(build, expected):
+    expr = parse_expression(build(MAX_NESTING))
+    assert eval_expression(expr, default_env(A2)) == expected(MAX_NESTING)
+    assert parse_expression(format_expression(expr)) == expr
+
+
+@pytest.mark.parametrize("build", [n[1] for n in NESTINGS], ids=[n[0] for n in NESTINGS])
+def test_nesting_past_the_limit_is_rejected(build):
+    with pytest.raises(ExpressionError, match=f"nests deeper than {MAX_NESTING} levels"):
+        parse_expression(build(MAX_NESTING + 1))
+
+
+def test_sibling_levels_do_not_add_up():
+    factors = ["(t)^-1", "[t, t]", "embed(1, t)^2", "dot((1 2))"] * MAX_NESTING
+    assert len(parse_expression(" * ".join(factors)).factors) == len(factors)
+
+
 # --- evaluation -----------------------------------------------------------------
 
 
@@ -140,6 +197,20 @@ def test_eval_spinal_from_file(tmp_path):
     save_alpha_plan(plan, str(plan_path), {1: "b.elt"})
     expr = f's("{plan_path}")'
     assert ev(expr) == make_s_alpha(plan)
+
+
+def test_default_env_with_extra_leaves_the_shared_env_unchanged():
+    shared = default_env(A2)
+    bindings = shared.bindings
+    s = make_s_alpha(plan_alpha(default_base(A2, 1)))
+    extended = default_env(A2, {"s": s, "t": identity(A2)})
+    assert extended.lookup("s") == s
+    assert extended.lookup("t") == identity(A2)
+    assert default_env(A2) is shared
+    assert shared.bindings == bindings
+    assert shared.lookup("t") == make_t(A2)
+    with pytest.raises(ExpressionError):
+        shared.lookup("s")
 
 
 def test_eval_unknown_name():

@@ -3,7 +3,8 @@
 import pytest
 
 from vncalc.constructions import default_base, make_s_alpha, make_t, make_tau, plan_alpha, sigma_dot
-from vncalc.element import compose, format_element, identity, invert
+from vncalc import search
+from vncalc.element import VnElement, compose, format_element, identity, invert
 from vncalc.errors import AlphabetMismatchError, FileFormatError
 from vncalc.search import (
     Ball,
@@ -90,12 +91,51 @@ def test_ball_closed_under_inversion_for_involutive_generators():
 
 
 def test_ball_respects_cap():
-    ball = grow_ball(spinal_gens(), 6, cap=20)
-    assert ball.truncated
-    assert len(ball) == 20
     untruncated = grow_ball(spinal_gens(), 6)
     assert not untruncated.truncated
-    assert ball.entries == untruncated.entries[:20]
+    assert len(untruncated) == 158
+    # 84 is the radius-5 size: the cap is reached exactly between two radii.
+    for cap in (1, 20, 84, 157, 158, 159):
+        ball = grow_ball(spinal_gens(), 6, cap=cap)
+        assert ball.truncated == (cap < 158), cap
+        assert len(ball) == min(cap, 158), cap
+        assert ball.entries == untruncated.entries[:cap], cap
+
+
+def count_hashes(monkeypatch):
+    """Count VnElement hashes and the candidates the search composes."""
+    counts = {"hash": 0, "candidates": 0}
+    element_hash = VnElement.__hash__
+
+    def counted_hash(self):
+        counts["hash"] += 1
+        return element_hash(self)
+
+    def counted_compose(g, h):
+        counts["candidates"] += 1
+        return compose(g, h)
+
+    monkeypatch.setattr(VnElement, "__hash__", counted_hash)
+    monkeypatch.setattr(search, "compose", counted_compose)
+    return counts
+
+
+def test_ball_hashes_each_candidate_once(monkeypatch):
+    gens = spinal_gens()
+    counts = count_hashes(monkeypatch)
+    ball = grow_ball(gens, 4)
+    assert counts["hash"] == 1 + counts["candidates"]
+    counts.update(hash=0, candidates=0)
+    assert grow_ball(gens, 4, cap=10).entries == ball.entries[:10]
+    # Below the cap one add per candidate; at the cap one lookup per candidate.
+    assert counts["hash"] == 1 + counts["candidates"]
+
+
+def test_find_hashes_each_candidate_once(monkeypatch):
+    gens = sigma_tau_gens()
+    counts = count_hashes(monkeypatch)
+    assert find_element(make_t(A2), gens, 3) == ("sigma", "tau")
+    assert counts["hash"] == 1 + counts["candidates"]
 
 
 def test_ball_worker_counts_agree():
