@@ -117,8 +117,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# A level costs the parser at most four Python frames (an embed call), so
-# 200 levels stay well inside CPython's default limit of 1000 frames.
+# A level costs the parser at most four Python frames (an embed call:
+# parse_atom, parse_embed_call, parse_expr, parse_term), so an expression at
+# the cap takes about 800 of CPython's default 1000 frames, leaving callers
+# about 200.  Printing takes two frames a level and evaluating one.  A stack
+# that still overflows while parsing is reported as an ExpressionError.
 MAX_NESTING = 200
 
 
@@ -146,7 +149,7 @@ class _Parser:
         raise ExpressionError(message, self.peek()[2])
 
     def enter(self, where: int) -> None:
-        """Open one nesting level; the caller closes it by lowering depth."""
+        """Open one nesting level; the caller restores the depth it saved."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExpressionError(
@@ -187,39 +190,32 @@ class _Parser:
         return node
 
     def parse_atom(self) -> Expr:
-        kind, text, where = self.peek()
+        kind, text, where = self.next()
+        if kind == "name" and self.peek()[1] != "(":
+            return NameRef(text)
+        if kind == "name" and text not in ("dot", "embed", "s"):
+            raise ExpressionError(f"unknown constructor {text!r}", where)
+        if kind != "name" and text not in ("(", "["):
+            raise ExpressionError(f"expected an atom, got {text!r}", where)
+        depth = self.depth
+        self.enter(where)
         if text == "(":
-            self.enter(where)
-            self.next()
-            inner = self.parse_expr()
+            node = self.parse_expr()
             self.expect(")")
-            self.depth -= 1
-            return inner
-        if text == "[":
-            self.enter(where)
-            self.next()
+        elif text == "[":
             left = self.parse_expr()
             self.expect(",")
             right = self.parse_expr()
             self.expect("]")
-            self.depth -= 1
-            return CommutatorExpr(left, right)
-        if kind == "name":
-            self.next()
-            if self.peek()[1] != "(":
-                return NameRef(text)
-            self.enter(where)
-            if text == "dot":
-                node = self.parse_dot_call()
-            elif text == "embed":
-                node = self.parse_embed_call()
-            elif text == "s":
-                node = self.parse_spinal_call()
-            else:
-                raise ExpressionError(f"unknown constructor {text!r}", where)
-            self.depth -= 1
-            return node
-        raise ExpressionError(f"expected an atom, got {text!r}", where)
+            node = CommutatorExpr(left, right)
+        elif text == "dot":
+            node = self.parse_dot_call()
+        elif text == "embed":
+            node = self.parse_embed_call()
+        else:
+            node = self.parse_spinal_call()
+        self.depth = depth
+        return node
 
     def parse_dot_call(self) -> Expr:
         self.expect("(")
@@ -287,7 +283,14 @@ class _Parser:
 
 
 def parse_expression(text: str) -> Expr:
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionError(
+            "expression nests too deeply for the Python stack "
+            f"(reached {parser.depth} levels)"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -147,6 +148,38 @@ def test_nesting_at_the_limit_evaluates_and_prints(build, expected):
 def test_nesting_past_the_limit_is_rejected(build):
     with pytest.raises(ExpressionError, match=f"nests deeper than {MAX_NESTING} levels"):
         parse_expression(build(MAX_NESTING + 1))
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_stack_overflow_inside_the_cap_is_an_expression_error():
+    """A caller with little stack left gets an ExpressionError, not a RecursionError."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 300)
+    try:
+        with pytest.raises(ExpressionError, match="too deeply for the Python stack"):
+            parse_expression(nest_embeds(MAX_NESTING))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert parse_expression(nest_embeds(MAX_NESTING)) is not None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("foo(1)", "unknown constructor 'foo'"),
+        ("(t) * 3", "expected an atom, got '3'"),
+        ("t * ", "expected an atom, got None"),
+    ],
+)
+def test_atom_errors(text, message):
+    with pytest.raises(ExpressionError, match=re.escape(message)):
+        parse_expression(text)
 
 
 def test_sibling_levels_do_not_add_up():
