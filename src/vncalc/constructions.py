@@ -23,7 +23,7 @@ from .errors import (
 )
 from .element import (
     VnElement,
-    canonicalize,
+    _element,
     commutator,
     compose,
     conjugate,
@@ -83,8 +83,7 @@ def dot(p: Permutation, alphabet: Alphabet) -> VnElement:
         raise AlphabetMismatchError(
             f"permutation degree {p.degree} vs alphabet degree {alphabet.degree}"
         )
-    pairs = [(Word((i,)), Word((p(i),))) for i in alphabet.letters]
-    return canonicalize(pairs, alphabet)
+    return _element({(i,): (p(i),) for i in alphabet.letters}, alphabet)
 
 
 def sigma_dot(alphabet: Alphabet) -> VnElement:
@@ -125,12 +124,11 @@ def _sigma_dot(alphabet: Alphabet) -> VnElement:
 @functools.cache
 def _make_tau(alphabet: Alphabet) -> VnElement:
     n = alphabet.degree
-    pairs = []
+    table = {(1, n): (1, n)}
     for i in range(1, n):
-        pairs.append((Word((1, i)), Word((i + 1,))))
-        pairs.append((Word((i + 1,)), Word((1, i))))
-    pairs.append((Word((1, n)), Word((1, n))))
-    return canonicalize(pairs, alphabet)
+        table[(1, i)] = (i + 1,)
+        table[(i + 1,)] = (1, i)
+    return _element(table, alphabet)
 
 
 @functools.cache
@@ -141,13 +139,12 @@ def _make_t(alphabet: Alphabet) -> VnElement:
 def embed(w: Word, g: VnElement) -> VnElement:
     """The element acting as g inside the cone at w and trivially elsewhere."""
     check_letters(w, g.alphabet)
-    pairs = [(w + u, w + v) for u, v in g.pairs()]
-    for k in range(len(w)):
-        for b in g.alphabet.letters:
-            if b != w.letters[k]:
-                sibling = w.take(k).child(b)
-                pairs.append((sibling, sibling))
-    return canonicalize(pairs, g.alphabet)
+    cone = w.letters
+    table = {cone + u: cone + v for u, v in zip(g.dom, g.img)}
+    # Every sibling cone off the path to w is fixed.
+    siblings = [cone[:k] + (b,) for k, a in enumerate(cone) for b in g.alphabet.letters if b != a]
+    table.update(zip(siblings, siblings))
+    return _element(table, g.alphabet)
 
 
 def spine_cone(k: int) -> Word:
@@ -177,18 +174,17 @@ def make_s_alpha(alpha, alphabet: Alphabet | None = None) -> VnElement:
         if g.alphabet != alphabet:
             raise AlphabetMismatchError("sequence entries use mixed alphabets")
     n = alphabet.degree
-    pairs = [(Word((i,)), Word((i,))) for i in range(2, n + 1)]
+    table = {(i,): (i,) for i in range(2, n + 1)}
     for k, g in enumerate(entries, start=1):
-        cone = spine_cone(k).child(2)
-        pairs.extend((cone + u, cone + v) for u, v in g.pairs())
-        for i in range(3, n + 1):
-            side = spine_cone(k).child(i)
-            pairs.append((side, side))
-    deep = spine_cone(len(entries) + 1)
+        cone = (1,) * k + (2,)
+        table.update((cone + u, cone + v) for u, v in zip(g.dom, g.img))
+        sides = [(1,) * k + (i,) for i in range(3, n + 1)]
+        table.update(zip(sides, sides))
+    deep = (1,) * (len(entries) + 1)
     swap = {1: 2, 2: 1}
     for i in alphabet.letters:
-        pairs.append((deep.child(i), deep.child(swap.get(i, i))))
-    return canonicalize(pairs, alphabet)
+        table[deep + (i,)] = deep + (swap.get(i, i),)
+    return _element(table, alphabet)
 
 
 def is_sidon(members) -> bool:
@@ -363,19 +359,17 @@ def base_involutions(
             f"no twisting element among {len(twist_candidates)} candidates "
             "makes the seed conjugate noncommuting"
         )
-    out: list[VnElement] = []
+    out: dict[VnElement, None] = {}
     for g in conjugators:
         for h in (g, compose(twist, g)):
-            cand = conjugate(seed, h)
-            if cand not in out:
-                out.append(cand)
-    return out
+            out.setdefault(conjugate(seed, h))
+    return list(out)
 
 
 def _generator_words(alphabet: Alphabet, max_length: int) -> list[VnElement]:
     """Products of up to max_length factors from {sigma, tau}, deduplicated."""
     gens = [sigma_dot(alphabet), make_tau(alphabet)]
-    seen = [identity(alphabet)]
+    seen = dict.fromkeys([identity(alphabet)])
     frontier = list(seen)
     for _ in range(max_length):
         nxt = []
@@ -383,10 +377,10 @@ def _generator_words(alphabet: Alphabet, max_length: int) -> list[VnElement]:
             for h in gens:
                 cand = compose(g, h)
                 if cand not in seen:
-                    seen.append(cand)
+                    seen[cand] = None
                     nxt.append(cand)
         frontier = nxt
-    return seen
+    return list(seen)
 
 
 def default_base(alphabet: Alphabet, size: int) -> list[VnElement]:
@@ -394,13 +388,12 @@ def default_base(alphabet: Alphabet, size: int) -> list[VnElement]:
     pool = base_involutions(alphabet)
     if len(pool) < size:
         t = make_t(alphabet)
-        seed = pool[0]
+        seen = dict.fromkeys(pool)
         k = 1
-        while len(pool) < size:
-            cand = conjugate(seed, power(t, k))
-            if cand not in pool:
-                pool.append(cand)
+        while len(seen) < size:
+            seen.setdefault(conjugate(pool[0], power(t, k)))
             k += 1
+        pool = list(seen)
     return pool[:size]
 
 

@@ -11,9 +11,10 @@ correctly.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import takewhile
 
 from .errors import (
     AlphabetMismatchError,
@@ -27,7 +28,6 @@ from .errors import (
     WordTooShortError,
 )
 from .words import (
-    EPS,
     Alphabet,
     PartitionSet,
     RationalPoint,
@@ -35,43 +35,58 @@ from .words import (
     _check_antichain,
     _check_degree,
     _parse_letters,
+    _random_leaves,
+    _text,
     _word,
     check_letters,
     point_normalize,
-    random_partition,
 )
 
 Pair = tuple[Word, Word]
+Letters = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VnElement:
     """A canonical prefix-replacement bijection.
 
-    ``domain.words[i]`` maps to ``images[i]``; both sides are partition
-    sets over the same alphabet and no caret pair of the table is
-    mergeable.  Do not build directly: use ``make_element`` or
-    ``canonicalize`` (or the constructors in ``constructions``).
+    Stored as two aligned tuples of letter tuples: ``dom`` holds the
+    domain words in sorted order, and ``img[i]`` is the image of
+    ``dom[i]``.  Both sides are partition sets over ``alphabet`` and no
+    caret pair of the table is mergeable, so equality and hashing of
+    these three fields are equality and hashing of the homeomorphism.
+    ``domain``, ``images`` and ``pairs()`` build ``Word``s on demand, for
+    printing and for callers outside the kernel.  Do not build directly:
+    use ``make_element`` or ``canonicalize`` (or the constructors in
+    ``constructions``).
     """
 
-    domain: PartitionSet
-    images: tuple[Word, ...]
+    alphabet: Alphabet
+    dom: tuple[Letters, ...]
+    img: tuple[Letters, ...]
 
     @property
-    def alphabet(self) -> Alphabet:
-        return self.domain.alphabet
+    def domain(self) -> PartitionSet:
+        return PartitionSet(self.alphabet, tuple(map(_word, self.dom)))
+
+    @property
+    def images(self) -> tuple[Word, ...]:
+        return tuple(map(_word, self.img))
 
     def pairs(self) -> tuple[Pair, ...]:
-        return tuple(zip(self.domain.words, self.images))
+        return tuple(zip(map(_word, self.dom), map(_word, self.img)))
 
     def image_of(self, w: Word) -> Word:
-        return self.images[self.domain.words.index(w)]
+        i = bisect_left(self.dom, w.letters)
+        if i == len(self.dom) or self.dom[i] != w.letters:
+            raise ValueError(f"{w} is not a domain word")
+        return _word(self.img[i])
 
     def is_identity(self) -> bool:
-        return self.domain.words == (EPS,)
+        return self.dom == ((),)
 
     def max_depth(self) -> int:
-        return max(self.domain.max_depth(), max(len(v) for v in self.images))
+        return max(max(map(len, self.dom)), max(map(len, self.img)))
 
     def __mul__(self, other: VnElement) -> VnElement:
         return compose(self, other)
@@ -80,12 +95,12 @@ class VnElement:
         return power(self, k)
 
     def __str__(self) -> str:
-        body = ", ".join(f"{w}->{v}" for w, v in self.pairs())
+        body = ", ".join(f"{_text(w)}->{_text(v)}" for w, v in zip(self.dom, self.img))
         return f"vn {self.alphabet.degree}: {body}"
 
 
 def identity(alphabet: Alphabet) -> VnElement:
-    return VnElement(PartitionSet(alphabet, (EPS,)), (EPS,))
+    return VnElement(alphabet, ((),), ((),))
 
 
 def _reduce(table: dict[tuple, tuple], degree: int) -> dict[tuple, tuple]:
@@ -122,27 +137,14 @@ def _reduce(table: dict[tuple, tuple], degree: int) -> dict[tuple, tuple]:
     return table
 
 
-def _element(
-    table: dict[tuple, tuple], alphabet: Alphabet, known: dict[tuple, Word]
-) -> VnElement:
-    """Wrap a reduced, already validated table in Words without checking it again.
+def _element(table: dict[Letters, Letters], alphabet: Alphabet) -> VnElement:
+    """The canonical element of an already validated table.
 
-    ``known`` maps letter tuples to Words to reuse; every other tuple gets
-    one new Word, added to ``known``, so a domain row and an image row with
-    the same letters share it.
+    The table is reduced in place, then its sorted keys and their values
+    become the element's two tuples; no letter is checked again.
     """
-
-    def word(letters: tuple) -> Word:
-        w = known.get(letters)
-        if w is None:
-            w = known[letters] = _word(letters)
-        return w
-
-    dom = sorted(table)
-    return VnElement(
-        PartitionSet(alphabet, tuple(map(word, dom))),
-        tuple(word(table[w]) for w in dom),
-    )
+    dom = sorted(_reduce(table, alphabet.degree))
+    return VnElement(alphabet, tuple(dom), tuple([table[w] for w in dom]))
 
 
 def canonicalize(pairs, alphabet: Alphabet) -> VnElement:
@@ -155,15 +157,12 @@ def canonicalize(pairs, alphabet: Alphabet) -> VnElement:
     order; ``test_canonicalize_ignores_merge_order`` checks this against
     a restart-after-every-merge oracle on shuffled, refined tables.
     """
-    table: dict[tuple, tuple] = {}
-    known: dict[tuple, Word] = {}
+    table: dict[Letters, Letters] = {}
     for w, v in pairs:
         if w.letters in table:
             raise NotABijectionError(f"duplicate domain word {w}")
         table[w.letters] = v.letters
-        known[w.letters] = w
-        known[v.letters] = v
-    return _element(_reduce(table, alphabet.degree), alphabet, known)
+    return _element(table, alphabet)
 
 
 def _check_image_partition(images: set[tuple], degree: int) -> None:
@@ -208,13 +207,9 @@ def compose(g: VnElement, h: VnElement) -> VnElement:
     words that extend v (found by bisection).
     """
     _require_same_alphabet(g, h)
-    g_dom = [u.letters for u in g.domain.words]
-    g_map = dict(zip(g_dom, [z.letters for z in g.images]))
-    known = {z.letters: z for z in g.images}
-    table: dict[tuple, tuple] = {}
-    for w_word, v_word in h.pairs():
-        w, v = w_word.letters, v_word.letters
-        known[w] = w_word
+    g_dom, g_map = g.dom, dict(zip(g.dom, g.img))
+    table: dict[Letters, Letters] = {}
+    for w, v in zip(h.dom, h.img):
         for k in range(len(v) + 1):
             z = g_map.get(v[:k])
             if z is not None:
@@ -227,15 +222,14 @@ def compose(g: VnElement, h: VnElement) -> VnElement:
                 if u[:cut] != v:
                     break
                 table[w + u[cut:]] = g_map[u]
-    return _element(_reduce(table, g.alphabet.degree), g.alphabet, known)
+    return _element(table, g.alphabet)
 
 
 def invert(g: VnElement) -> VnElement:
     # Caret mergeability is symmetric in domain and range, so swapping
     # a canonical table stays canonical.
-    flipped = sorted((v, w) for w, v in g.pairs())
-    dom = tuple(v for v, _ in flipped)
-    return VnElement(PartitionSet(g.alphabet, dom), tuple(w for _, w in flipped))
+    flipped = sorted(zip(g.img, g.dom))
+    return VnElement(g.alphabet, tuple([v for v, _ in flipped]), tuple([w for _, w in flipped]))
 
 
 def power(g: VnElement, k: int) -> VnElement:
@@ -267,29 +261,44 @@ def equals(g: VnElement, h: VnElement) -> bool:
     return g == h
 
 
+def _image(g: VnElement, w: Letters) -> Letters | None:
+    """Image letters of w, or None when w stops short of g's domain.
+
+    The domain word that prefixes w, if any, is the last one not after w
+    in sorted order: a later word up to w would extend it.
+    """
+    i = bisect_right(g.dom, w) - 1
+    u = g.dom[i]
+    if i < 0 or w[: len(u)] != u:
+        return None
+    return g.img[i] + w[len(u) :]
+
+
 def apply_word(g: VnElement, w: Word) -> Word:
-    """Image of the cone named by w; w must reach into g's domain."""
+    """Image of the cone named by w; w must reach into g's domain.
+
+    When w stops short, the domain words extending it sit together from
+    w's insertion point, and the error names the longest of them.
+    """
     check_letters(w, g.alphabet)
-    for u, z in g.pairs():
-        if u.is_prefix_of(w):
-            return z + w.drop(len(u))
-    needed = max(len(u) for u in g.domain.words if w.is_prefix_of(u))
-    raise WordTooShortError(
-        f"word {w} is shorter than the acting table; extend it to length {needed}"
-    )
+    image = _image(g, w.letters)
+    if image is None:
+        cut, rest = len(w), g.dom[bisect_left(g.dom, w.letters) :]
+        needed = max(map(len, takewhile(lambda u: u[:cut] == w.letters, rest)))
+        raise WordTooShortError(
+            f"word {w} is shorter than the acting table; extend it to length {needed}"
+        )
+    return _word(image)
 
 
 def apply_point(g: VnElement, p: RationalPoint) -> RationalPoint:
     """Exact image of an eventually periodic point, in normal form."""
-    depth = g.domain.max_depth()
+    depth = max(map(len, g.dom))
     if depth == 0:
         return p
-    head = p.prefix(depth)
-    for u, z in g.pairs():
-        if u.is_prefix_of(head):
-            tail = p.drop(len(u))
-            return point_normalize(z + tail.preperiod, tail.period)
-    raise AssertionError("complete domain must contain a prefix of every point")
+    tail = p.drop(depth)
+    head = _word(_image(g, p.prefix(depth).letters))
+    return point_normalize(head + tail.preperiod, tail.period)
 
 
 def order_bounded(g: VnElement, bound: int = 64) -> int | None:
@@ -306,7 +315,7 @@ def order_bounded(g: VnElement, bound: int = 64) -> int | None:
 
 def is_volume_preserving(g: VnElement) -> bool:
     """True iff every cone keeps its length, hence its uniform measure."""
-    return all(len(w) == len(v) for w, v in g.pairs())
+    return all(len(w) == len(v) for w, v in zip(g.dom, g.img))
 
 
 class ConeKind(Enum):
@@ -339,16 +348,17 @@ class SupportReport:
 
 def support(g: VnElement) -> SupportReport:
     cones = []
-    for w, v in g.pairs():
+    for w, v in zip(g.dom, g.img):
+        cone = _word(w)
         if w == v:
-            cones.append(SupportCone(w, ConeKind.FIXED))
-        elif not w.comparable(v):
-            cones.append(SupportCone(w, ConeKind.MOVED))
+            cones.append(SupportCone(cone, ConeKind.FIXED))
+        elif w[: len(v)] != v and v[: len(w)] != w:
+            cones.append(SupportCone(cone, ConeKind.MOVED))
         else:
             # One word properly extends the other by u; the only fixed
             # point of the cone is then w.u^infinity.
-            u = v.drop(len(w)) if len(v) > len(w) else w.drop(len(v))
-            cones.append(SupportCone(w, ConeKind.BOUNDARY, point_normalize(w, u)))
+            u = v[len(w) :] if len(v) > len(w) else w[len(v) :]
+            cones.append(SupportCone(cone, ConeKind.BOUNDARY, point_normalize(cone, _word(u))))
     return SupportReport(tuple(cones))
 
 
@@ -386,7 +396,7 @@ def sign(g: VnElement) -> int:
         raise SignUndefinedError(
             f"sign undefined for even degree {g.alphabet.degree}"
         )
-    return table_parity(g.pairs())
+    return table_parity(zip(g.dom, g.img))
 
 
 def _expand_at(pairs: list[Pair], w: Word, alphabet: Alphabet) -> list[Pair]:
@@ -454,16 +464,16 @@ def random_element(
     max_depth: int | None = 4,
 ) -> VnElement:
     """Seeded random element; canonical depth never exceeds max_depth."""
-    dom = random_partition(alphabet, rng, expansions, max_depth)
-    img = list(random_partition(alphabet, rng, expansions, max_depth).words)
+    dom = _random_leaves(alphabet, rng, expansions, max_depth)
+    img = _random_leaves(alphabet, rng, expansions, max_depth)
     rng.shuffle(img)
-    return canonicalize(zip(dom.words, img), alphabet)
+    return _element(dict(zip(dom, img)), alphabet)
 
 
 def format_element(g: VnElement) -> str:
     """Bit-exact text form: header line then one sorted row per cone."""
     lines = [f"vn {g.alphabet.degree}"]
-    lines.extend(f"{w} -> {v}" for w, v in g.pairs())
+    lines.extend(f"{_text(w)} -> {_text(v)}" for w, v in zip(g.dom, g.img))
     return "\n".join(lines)
 
 
@@ -522,4 +532,4 @@ def parse_element(text: str) -> VnElement:
     if len(image_set) != len(table):
         raise NotABijectionError("image words are not distinct")
     _check_image_partition(image_set, degree)
-    return _element(_reduce(table, degree), alphabet, {})
+    return _element(table, alphabet)

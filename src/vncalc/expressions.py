@@ -301,10 +301,13 @@ class EvalEnv:
     bindings: tuple[tuple[str, VnElement], ...]
 
     def lookup(self, name: str) -> VnElement:
-        for key, g in self.bindings:
-            if key == name:
-                return g
-        raise ExpressionError(f"unknown name {name!r}")
+        if name not in self._by_name:
+            raise ExpressionError(f"unknown name {name!r}")
+        return self._by_name[name]
+
+    @functools.cached_property
+    def _by_name(self) -> dict[str, VnElement]:
+        return dict(self.bindings)
 
 
 def default_env(alphabet: Alphabet, extra: dict[str, VnElement] | None = None) -> EvalEnv:

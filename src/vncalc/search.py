@@ -10,7 +10,10 @@ runs.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .element import VnElement, compose, format_element, identity, invert, parse_element
 from .errors import AlphabetMismatchError, FileFormatError, ParameterRangeError
@@ -45,10 +48,11 @@ class GeneratorSet:
         return tuple(name for name, _ in self.generators)
 
     def element(self, name: str) -> VnElement:
-        for key, g in self.generators:
-            if key == name:
-                return g
-        raise KeyError(name)
+        return self._by_name[name]
+
+    @functools.cached_property
+    def _by_name(self) -> dict[str, VnElement]:
+        return dict(self.generators)
 
     def tokens(self) -> tuple[tuple[str, VnElement], ...]:
         """Sorted (token, element) pairs, adding inverses where they differ."""
@@ -97,10 +101,11 @@ class Ball:
         return {g: w for w, g in self.entries}
 
     def word_for(self, g: VnElement) -> GenWord | None:
-        for w, h in self.entries:
-            if h == g:
-                return w
-        return None
+        return self._words.get(g)
+
+    @functools.cached_property
+    def _words(self) -> dict[VnElement, GenWord]:
+        return {g: w for w, g in reversed(self.entries)}
 
 
 def _expand_frontier(frontier, tokens):
@@ -263,9 +268,8 @@ def load_ball(path: str) -> Ball:
         entries.append((word, g))
     if len(entries) != count:
         raise FileFormatError(f"header says {count} elements, file has {len(entries)}")
-    sizes = tuple(
-        sum(1 for w, _ in entries if len(w) <= r) for r in range(radius + 1)
-    )
+    lengths = Counter(len(w) for w, _ in entries)
+    sizes = tuple(accumulate(lengths[r] for r in range(radius + 1)))
     return Ball(alphabet, radius, tuple(entries), sizes, bool(trunc), tuple(manifest))
 
 

@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 from .constructions import (
     AlphaPlan,
@@ -26,8 +27,8 @@ from .constructions import (
 )
 from .element import (
     VnElement,
-    apply_word,
-    canonicalize,
+    _element,
+    _image,
     commutator,
     compose,
     conjugate,
@@ -37,8 +38,8 @@ from .element import (
     random_element,
     sign,
 )
-from .errors import NotVolumePreservingError
-from .words import Alphabet, PartitionSet, Word
+from .errors import LevelTooSmallError, NotVolumePreservingError, ParameterRangeError
+from .words import Alphabet, Word
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -82,7 +83,7 @@ def _entries_of(alpha) -> tuple[tuple[VnElement, ...], Alphabet]:
         return alpha.entries, alpha.alphabet
     entries = tuple(alpha)
     if not entries:
-        raise ValueError("empty sequences need an explicit alphabet; pass a plan")
+        raise ParameterRangeError("empty sequences need an explicit alphabet; pass a plan")
     return entries, entries[0].alphabet
 
 
@@ -198,9 +199,8 @@ def in_maximal_subgroup(g: VnElement) -> bool:
     if g.is_identity():
         return True
     first: dict[int, int] = {}
-    for w, v in g.pairs():
-        a, b = w.letters[0], v.letters[0]
-        if first.setdefault(a, b) != b:
+    for w, v in zip(g.dom, g.img):
+        if first.setdefault(w[0], v[0]) != v[0]:
             return False
     return sorted(first.values()) == list(g.alphabet.letters)
 
@@ -222,18 +222,18 @@ def enumerate_en_group(gens, level: int | None = None) -> FiniteClosure:
     gens = list(gens)
     alphabet = gens[0].alphabet if gens else None
     if alphabet is None:
-        raise ValueError("at least one generator is required")
+        raise ParameterRangeError("at least one generator is required")
     for idx, g in enumerate(gens):
         if not is_volume_preserving(g):
             raise NotVolumePreservingError(f"generator {idx} is not volume preserving: {g}")
-    depth = max(g.domain.max_depth() for g in gens)
+    depth = max(len(w) for g in gens for w in g.dom)
     if level is not None:
         if level < depth:
-            raise ValueError(f"level {level} is below the deepest generator table {depth}")
+            raise LevelTooSmallError(f"level {level} is below the deepest generator table {depth}")
         depth = level
-    leaves = PartitionSet.level(alphabet, depth).words
+    leaves = list(product(alphabet.letters, repeat=depth))
     index = {w: i for i, w in enumerate(leaves)}
-    perms = {tuple(index[apply_word(g, w)] for w in leaves) for g in gens}
+    perms = {tuple(index[_image(g, w)] for w in leaves) for g in gens}
     ident = tuple(range(len(leaves)))
     closure = {ident}
     frontier = [ident]
@@ -248,7 +248,7 @@ def enumerate_en_group(gens, level: int | None = None) -> FiniteClosure:
         frontier = nxt
     assert math.factorial(len(leaves)) % len(closure) == 0
     elements = frozenset(
-        canonicalize([(w, leaves[p[i]]) for i, w in enumerate(leaves)], alphabet)
+        _element(dict(zip(leaves, [leaves[x] for x in p])), alphabet)
         for p in closure
     )
     return FiniteClosure(len(closure), depth, elements)
@@ -460,5 +460,5 @@ def run_suites(which: str, degrees, kmax: int = 5, count: int = 200, seed: int =
             out.extend(SUITE_BUILDERS[name](opts))
         return out
     if which not in SUITE_BUILDERS:
-        raise ValueError(f"unknown suite {which!r}")
+        raise ParameterRangeError(f"unknown suite {which!r}")
     return SUITE_BUILDERS[which](opts)

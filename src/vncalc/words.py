@@ -73,7 +73,7 @@ class Word:
         return _word(self.letters + other.letters)
 
     def __str__(self) -> str:
-        return ".".join(map(str, self.letters)) if self.letters else "eps"
+        return _text(self.letters)
 
     def child(self, letter: int) -> Word:
         return Word(self.letters + (letter,))
@@ -117,7 +117,7 @@ def _word(letters: tuple[int, ...]) -> Word:
 
 
 def _text(letters: tuple[int, ...]) -> str:
-    return str(_word(letters))
+    return ".".join(map(str, letters)) if letters else "eps"
 
 
 def _parse_letters(text: str) -> tuple[int, ...]:
@@ -286,7 +286,7 @@ class PartitionSet:
     @classmethod
     def level(cls, alphabet: Alphabet, depth: int) -> PartitionSet:
         if depth < 0:
-            raise ValueError("depth must be >= 0")
+            raise ParameterRangeError("depth must be >= 0")
         ws = tuple(_word(p) for p in _cartesian(alphabet.letters, repeat=depth))
         return cls(alphabet, tuple(sorted(ws)))
 
@@ -375,14 +375,18 @@ def random_partition(
     The result has exactly 1 + expansions*(degree-1) words, which makes
     two partitions grown with the same count directly matchable.
     """
-    words = [EPS]
+    leaves = _random_leaves(alphabet, rng, expansions, max_depth)
+    return PartitionSet(alphabet, tuple(map(_word, leaves)))
+
+
+def _random_leaves(alphabet, rng, expansions, max_depth) -> list[tuple[int, ...]]:
+    """The sorted words of a random partition set, as letter tuples; see ``random_partition``."""
+    words = [()]
     for _ in range(expansions):
-        candidates = sorted(
-            w for w in words if max_depth is None or len(w) < max_depth
-        )
+        candidates = sorted(w for w in words if max_depth is None or len(w) < max_depth)
         if not candidates:
-            raise ValueError("no expandable word below the depth bound")
+            raise ParameterRangeError("no expandable word below the depth bound")
         w = rng.choice(candidates)
         words.remove(w)
-        words.extend(w.child(i) for i in alphabet.letters)
-    return PartitionSet(alphabet, tuple(sorted(words)))
+        words.extend(w + (i,) for i in alphabet.letters)
+    return sorted(words)

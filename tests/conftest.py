@@ -7,6 +7,9 @@ plain leaf-index permutation tuples instead of element arithmetic.
 ``naive_compose``/``naive_canonicalize`` are the original quadratic
 prefix-scan product and restart-after-every-merge reduction, kept as the
 reference for the dict-and-bisect kernel in ``vncalc.element``.
+``naive_apply_word`` is the original linear scan over an element's rows,
+kept as the reference for the bisect lookup of ``apply_word`` and
+``VnElement.image_of`` on the letter-tuple storage.
 ``naive_parse_word``, ``naive_check_letters``, ``naive_from_words``,
 ``naive_make_element`` and ``naive_parse_element`` are the original
 validate-every-Word parsers and checks, kept as the reference for the
@@ -28,8 +31,9 @@ from vncalc.errors import (
     NotABijectionError,
     NotAPartitionError,
     VnError,
+    WordTooShortError,
 )
-from vncalc.words import Alphabet, PartitionSet, Word
+from vncalc.words import Alphabet, PartitionSet, Word, check_letters
 
 Pair = tuple[Word, Word]
 
@@ -79,7 +83,9 @@ def naive_canonicalize(pairs, alphabet: Alphabet) -> VnElement:
         if not merged:
             break
     dom = tuple(sorted(table))
-    return VnElement(PartitionSet(alphabet, dom), tuple(table[w] for w in dom))
+    return VnElement(
+        alphabet, tuple(w.letters for w in dom), tuple(table[w].letters for w in dom)
+    )
 
 
 def naive_compose(g: VnElement, h: VnElement) -> VnElement:
@@ -95,6 +101,18 @@ def naive_compose(g: VnElement, h: VnElement) -> VnElement:
                 s = u.drop(len(v))
                 out.append((w + s, z))
     return naive_canonicalize(out, g.alphabet)
+
+
+def naive_apply_word(g: VnElement, w: Word) -> Word:
+    """Image of the cone named by w; w must reach into g's domain."""
+    check_letters(w, g.alphabet)
+    for u, z in g.pairs():
+        if u.is_prefix_of(w):
+            return z + w.drop(len(u))
+    needed = max(len(u) for u in g.domain.words if w.is_prefix_of(u))
+    raise WordTooShortError(
+        f"word {w} is shorter than the acting table; extend it to length {needed}"
+    )
 
 
 def naive_parse_word(text: str) -> Word:

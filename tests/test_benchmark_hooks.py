@@ -4,6 +4,8 @@
 ``Word.__post_init__`` and ``PartitionSet.from_words`` by name, and its
 ``StepClock`` stamps returns from named functions.  It wraps only plain
 functions, so the per-process caches sit behind plain public functions.
+Its counters and the workloads' checks read elements through ``images``
+and ``domain``, which an element builds on demand from its letter rows.
 The benchmark's own self-tests are not part of this suite, so this test
 catches a refactor that moves one of those hooks.  The tracer source is
 only read, never imported as a package module, so nothing is written
@@ -91,3 +93,35 @@ def test_benchmark_tracer_still_finds_the_cached_entry_points():
         "vncalc.expressions.default_env",
     ):
         assert name in found, name
+
+
+def test_benchmark_row_counters_match_the_stored_rows():
+    tracer_module = load_tracer()
+    a3 = Alphabet(3)
+    rng = random.Random(1)
+    g = element.random_element(a3, rng, 30, max_depth=None)
+    h = element.random_element(a3, rng, 12, max_depth=None)
+    # One row of g split into its three children, so one merge is left.
+    rows = list(g.pairs())
+    w, v = rows.pop()
+    rows += [(w.child(i), v.child(i)) for i in a3.letters]
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        product = element.compose(g, h)
+        reduced = element.canonicalize(rows, a3)
+    finally:
+        tracer.uninstall()
+
+    assert reduced == g
+    counters = tracer.counters
+    assert counters["element.compose.rows_in"] == len(g.dom) + len(h.dom)
+    assert counters["element.compose.pair_work"] == len(g.dom) * len(h.dom)
+    assert counters["element.compose.rows_out"] == len(product.dom)
+    assert counters["element.canonicalize.merges"] == 1
+    assert counters["element.canonicalize.peak_rows"] == len(g.dom) + 2
+    # The accessors the workloads' checks use.
+    for p in (g, h, product):
+        assert len(p.images) == len(p.domain) == len(p.dom)
+        assert p.domain.max_depth() == max(map(len, p.dom))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     W,
+    naive_apply_word,
     naive_canonicalize,
     naive_compose,
     parity_by_inversions,
@@ -278,6 +279,95 @@ def test_canonicalize_ignores_merge_order(factors, refinements, seed):
     reduced = canonicalize(pairs, gh.alphabet)
     assert reduced == gh
     assert format_element(reduced) == format_element(naive_canonicalize(pairs, gh.alphabet))
+
+
+# --- the letter-tuple storage against Word-built references --------------------
+
+
+def outcome(fn, *args):
+    """(exception class, message) of a call, or ("ok", result)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # any exception: its class is part of the comparison
+        return type(exc), str(exc)
+
+
+@st.composite
+def stored_elements(draw):
+    """(g, h, rng): two elements of 40-100 carets over one n in {2, 3, 5}."""
+    alphabet = Alphabet(draw(st.sampled_from((2, 3, 5))))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g, h = (
+        random_element(alphabet, rng, draw(st.integers(40, 100)), max_depth=None)
+        for _ in range(2)
+    )
+    return g, h, rng
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(stored_elements())
+def test_stored_rows_match_word_built_reference(case):
+    g, h, _ = case
+    for p in (g, compose(g, h)):
+        alphabet = p.alphabet
+        # Built by the validating constructors, independently of the
+        # on-demand wrapping: the domain must be a sorted partition set,
+        # and the images a partition set aligned with it.
+        dom = [Word(w) for w in p.dom]
+        img = [Word(v) for v in p.img]
+        assert p.domain == PartitionSet.from_words(dom, alphabet)
+        assert p.domain.words == tuple(dom)
+        assert p.images == tuple(img)
+        assert PartitionSet.from_words(img, alphabet).words == tuple(sorted(img))
+        assert p.pairs() == tuple(zip(dom, img))
+        assert p.max_depth() == max(len(w) for w in dom + img)
+        assert p.is_identity() == (dom == [Word()])
+        body = ", ".join(f"{w}->{v}" for w, v in zip(dom, img))
+        assert str(p) == f"vn {alphabet.degree}: {body}"
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(stored_elements(), st.integers(1, 20))
+def test_equal_elements_hash_equal_whatever_their_origin(case, refinements):
+    g, h, rng = case
+    p = compose(g, h)
+    pairs = list(p.pairs())
+    for _ in range(refinements):
+        pairs = refine_pairs(pairs, rng.choice(pairs)[0], p.alphabet)
+    rng.shuffle(pairs)
+    same = [
+        p,
+        naive_compose(g, h),
+        canonicalize(pairs, p.alphabet),
+        parse_element(format_element(p)),
+        make_element(p.domain, p.images),
+        invert(invert(p)),
+    ]
+    for q in same:
+        assert q == p
+        assert hash(q) == hash(p)
+    assert len(set(same)) == 1
+    # Swapping two images gives another bijection, which must differ.
+    img = list(p.images)
+    i, j = rng.sample(range(len(img)), 2)
+    img[i], img[j] = img[j], img[i]
+    assert make_element(p.domain, img) != p
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(stored_elements())
+def test_word_lookups_match_linear_scan_oracle(case):
+    g, h, rng = case
+    p = compose(g, h)
+    n, depth = p.alphabet.degree, p.max_depth()
+    for w in rng.sample(p.domain.words, 20):
+        assert p.image_of(w) == naive_apply_word(p, w)
+    # Words short of, inside and past the domain; the short ones raise
+    # WordTooShortError with the oracle's text.
+    for _ in range(40):
+        w = Word(tuple(rng.randint(1, n) for _ in range(rng.randint(0, depth + 2))))
+        assert outcome(apply_word, p, w) == outcome(naive_apply_word, p, w)
+    assert outcome(apply_word, p, Word((n + 1,))) == outcome(naive_apply_word, p, Word((n + 1,)))
 
 
 # --- evaluation ---------------------------------------------------------------

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_from_words, naive_make_element, naive_parse_element
+from vncalc.constructions import sigma_dot
 from vncalc.element import format_element, make_element, parse_element, random_element
-from vncalc.errors import MalformedWordError
+from vncalc.errors import LevelTooSmallError, MalformedWordError, ParameterRangeError, VnError
+from vncalc.verify import enumerate_en_group, run_suites, verify_s_alpha_conjugation
 from vncalc.words import Alphabet, PartitionSet, Word, random_partition
 
 
@@ -184,4 +186,39 @@ def test_from_words_matches_naive_oracle(case):
 def test_public_word_construction_validates(build, message):
     with pytest.raises(MalformedWordError) as info:
         build()
+    assert str(info.value) == message
+
+
+# --- typed errors ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PartitionSet.level(Alphabet(2), -1), ParameterRangeError, "depth must be >= 0"),
+        (
+            lambda: random_partition(Alphabet(2), random.Random(0), 2, max_depth=1),
+            ParameterRangeError,
+            "no expandable word below the depth bound",
+        ),
+        (
+            lambda: verify_s_alpha_conjugation([], 0),
+            ParameterRangeError,
+            "empty sequences need an explicit alphabet; pass a plan",
+        ),
+        (lambda: enumerate_en_group([]), ParameterRangeError, "at least one generator is required"),
+        (
+            lambda: enumerate_en_group([sigma_dot(Alphabet(2))], level=0),
+            LevelTooSmallError,
+            "level 0 is below the deepest generator table 1",
+        ),
+        (lambda: run_suites("nope", (2,)), ParameterRangeError, "unknown suite 'nope'"),
+    ],
+    ids=["level-depth", "random-partition", "empty-sequence", "no-generators", "level", "suite"],
+)
+def test_range_errors_are_typed(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert isinstance(info.value, VnError) and isinstance(info.value, ValueError)
     assert str(info.value) == message
