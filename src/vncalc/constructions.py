@@ -23,7 +23,7 @@ from .errors import (
 )
 from .element import (
     VnElement,
-    _element,
+    _canonical,
     commutator,
     compose,
     conjugate,
@@ -45,7 +45,7 @@ class Permutation:
     def __post_init__(self):
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+            raise ParameterRangeError(f"not a permutation of 1..{n}: {self.images}")
 
     @property
     def degree(self) -> int:
@@ -65,9 +65,9 @@ class Permutation:
         for cycle in cycles:
             for x in cycle:
                 if not 1 <= x <= n:
-                    raise ValueError(f"cycle entry {x} outside 1..{n}")
+                    raise ParameterRangeError(f"cycle entry {x} outside 1..{n}")
                 if x in seen:
-                    raise ValueError(f"cycles are not disjoint at {x}")
+                    raise ParameterRangeError(f"cycles are not disjoint at {x}")
                 seen.add(x)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a - 1] = b
@@ -83,7 +83,7 @@ def dot(p: Permutation, alphabet: Alphabet) -> VnElement:
         raise AlphabetMismatchError(
             f"permutation degree {p.degree} vs alphabet degree {alphabet.degree}"
         )
-    return _element({(i,): (p(i),) for i in alphabet.letters}, alphabet)
+    return _canonical([((i,), (p(i),)) for i in alphabet.letters], alphabet)
 
 
 def sigma_dot(alphabet: Alphabet) -> VnElement:
@@ -128,7 +128,7 @@ def _make_tau(alphabet: Alphabet) -> VnElement:
     for i in range(1, n):
         table[(1, i)] = (i + 1,)
         table[(i + 1,)] = (1, i)
-    return _element(table, alphabet)
+    return _canonical(sorted(table.items()), alphabet)
 
 
 @functools.cache
@@ -137,14 +137,24 @@ def _make_t(alphabet: Alphabet) -> VnElement:
 
 
 def embed(w: Word, g: VnElement) -> VnElement:
-    """The element acting as g inside the cone at w and trivially elsewhere."""
+    """The element acting as g inside the cone at w and trivially elsewhere.
+
+    Every sibling cone off the path to w is fixed.  In sorted order the
+    siblings left of the path come first, shallowest first, then g's rows
+    moved under w, then the siblings right of the path, deepest first; so
+    the rows reach the reducer already sorted.  For the identity g they
+    reduce to the single row eps -> eps.
+    """
     check_letters(w, g.alphabet)
     cone = w.letters
-    table = {cone + u: cone + v for u, v in zip(g.dom, g.img)}
-    # Every sibling cone off the path to w is fixed.
-    siblings = [cone[:k] + (b,) for k, a in enumerate(cone) for b in g.alphabet.letters if b != a]
-    table.update(zip(siblings, siblings))
-    return _element(table, g.alphabet)
+    letters = g.alphabet.letters
+    path = list(enumerate(cone))
+    left = [cone[:k] + (b,) for k, a in path for b in letters if b < a]
+    right = [cone[:k] + (b,) for k, a in reversed(path) for b in letters if b > a]
+    rows = list(zip(left, left))
+    rows += [(cone + u, cone + v) for u, v in zip(g.dom, g.img)]
+    rows += zip(right, right)
+    return _canonical(rows, g.alphabet)
 
 
 def spine_cone(k: int) -> Word:
@@ -169,7 +179,7 @@ def make_s_alpha(alpha, alphabet: Alphabet | None = None) -> VnElement:
         if entries:
             alphabet = entries[0].alphabet
         elif alphabet is None:
-            raise ValueError("an alphabet is required for the empty sequence")
+            raise ParameterRangeError("an alphabet is required for the empty sequence")
     for g in entries:
         if g.alphabet != alphabet:
             raise AlphabetMismatchError("sequence entries use mixed alphabets")
@@ -184,7 +194,7 @@ def make_s_alpha(alpha, alphabet: Alphabet | None = None) -> VnElement:
     swap = {1: 2, 2: 1}
     for i in alphabet.letters:
         table[deep + (i,)] = deep + (swap.get(i, i),)
-    return _element(table, alphabet)
+    return _canonical(sorted(table.items()), alphabet)
 
 
 def is_sidon(members) -> bool:
@@ -203,9 +213,11 @@ class SidonSet:
     def __post_init__(self):
         for x in self.members:
             if not isinstance(x, int) or x < 1:
-                raise ValueError(f"members must be positive integers, got {x!r}")
+                raise ParameterRangeError(f"members must be positive integers, got {x!r}")
         if not is_sidon(self.members):
-            raise ValueError(f"pairwise differences collide in {sorted(self.members)}")
+            raise ParameterRangeError(
+                f"pairwise differences collide in {sorted(self.members)}"
+            )
 
     @property
     def sorted_members(self) -> tuple[int, ...]:
@@ -231,7 +243,7 @@ def sidon_generate(count: int, strategy: str = "greedy") -> SidonSet:
     if strategy == "powers-of-two":
         return SidonSet(frozenset(2**i for i in range(1, count + 1)))
     if strategy != "greedy":
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise ParameterRangeError(f"unknown strategy {strategy!r}")
     members: list[int] = []
     candidate = 1
     while len(members) < count:
@@ -264,7 +276,7 @@ class AlphaPlan:
         if entries:
             alphabet = entries[0].alphabet
         elif alphabet is None:
-            raise ValueError("an alphabet is required for the empty sequence")
+            raise ParameterRangeError("an alphabet is required for the empty sequence")
         ell = len(entries)
         for k, g in enumerate(entries, start=1):
             if g.alphabet != alphabet:
@@ -274,7 +286,7 @@ class AlphaPlan:
         idx = [k for k, g in enumerate(entries, start=1) if not g.is_identity()]
         try:
             support = SidonSet(frozenset(idx))
-        except ValueError as exc:
+        except ParameterRangeError as exc:
             raise PlanInvariantError(str(exc)) from exc
         padding = support.max_difference()
         top = max(idx) if idx else 0
@@ -310,7 +322,7 @@ def plan_alpha(base, strategy: str = "greedy") -> AlphaPlan:
     """
     base = list(base)
     if not base:
-        raise ValueError("base must be nonempty")
+        raise ParameterRangeError("base must be nonempty")
     alphabet = base[0].alphabet
     for k, g in enumerate(base, start=1):
         if g.alphabet != alphabet:
@@ -405,7 +417,7 @@ def save_alpha_plan(plan: AlphaPlan, path: str, entry_paths: dict[int, str]) -> 
     """
     missing = set(plan.support.members) - set(entry_paths)
     if missing:
-        raise ValueError(f"no element file given for indices {sorted(missing)}")
+        raise FileFormatError(f"no element file given for indices {sorted(missing)}")
     lines = [f"alpha {plan.alphabet.degree} {plan.length}"]
     for k in plan.support.sorted_members:
         lines.append(f"{k} @ {entry_paths[k]}")

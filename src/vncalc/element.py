@@ -79,7 +79,7 @@ class VnElement:
     def image_of(self, w: Word) -> Word:
         i = bisect_left(self.dom, w.letters)
         if i == len(self.dom) or self.dom[i] != w.letters:
-            raise ValueError(f"{w} is not a domain word")
+            raise ParameterRangeError(f"{w} is not a domain word")
         return _word(self.img[i])
 
     def is_identity(self) -> bool:
@@ -103,48 +103,42 @@ def identity(alphabet: Alphabet) -> VnElement:
     return VnElement(alphabet, ((),), ((),))
 
 
-def _reduce(table: dict[tuple, tuple], degree: int) -> dict[tuple, tuple]:
-    """Merge caret pairs of a letter-tuple table in place, deepest first.
+def _canonical(rows, alphabet: Alphabet) -> VnElement:
+    """The canonical element of validated rows given in sorted domain order.
 
-    A merge at u needs every child u.i to be a leaf, with u.1 -> v.1 and
-    u.i -> v.i for the same v.  Only a merge at a child of u can create
-    such a leaf, so the candidates are swept bucket by bucket from the
-    deepest parent up, and a merge at u re-queues only its parent; one
-    sweep then leaves no mergeable caret.  A parent is queued only when
-    its child ending in letter 1 becomes a leaf, since no merge is
-    possible without that child.
+    The domain words must form a partition set.  One stack pass merges
+    every caret pair: in sorted order the children u.1..u.n of a caret
+    arrive one after another, each as a single row once its own subtree
+    is reduced, so when u.n -> v.n arrives the caret is mergeable exactly
+    when the n - 1 rows on top of the stack are u.i -> v.i for the same
+    v.  A merge pops those rows, and u -> v is then checked in turn as
+    the possible last child of its own parent.  No caret can become
+    mergeable after its last child is pushed, so one pass leaves none,
+    and the stack is already the sorted canonical table.  No letter is
+    checked again.
     """
-    if not table:
-        return table
-    buckets: list[set[tuple]] = [set() for _ in range(max(map(len, table)))]
-    for w in table:
-        if w and w[-1] == 1:
-            buckets[len(w) - 1].add(w[:-1])
-    rest = range(2, degree + 1)
-    for depth in range(len(buckets) - 1, -1, -1):
-        for u in buckets[depth]:
-            v1 = table.get(u + (1,))
-            if not v1 or v1[-1] != 1:
-                continue
-            base = v1[:-1]
-            if all(table.get(u + (i,)) == base + (i,) for i in rest):
-                del table[u + (1,)]
-                for i in rest:
-                    del table[u + (i,)]
-                table[u] = base
-                if u and u[-1] == 1:
-                    buckets[depth - 1].add(u[:-1])
-    return table
-
-
-def _element(table: dict[Letters, Letters], alphabet: Alphabet) -> VnElement:
-    """The canonical element of an already validated table.
-
-    The table is reduced in place, then its sorted keys and their values
-    become the element's two tuples; no letter is checked again.
-    """
-    dom = sorted(_reduce(table, alphabet.degree))
-    return VnElement(alphabet, tuple(dom), tuple([table[w] for w in dom]))
+    n = alphabet.degree
+    tails = [(i,) for i in range(1, n)]
+    last = tails[-1]
+    dom: list[Letters] = []
+    img: list[Letters] = []
+    for w, v in rows:
+        while w and w[-1] == n and v and v[-1] == n:
+            u, base = w[:-1], v[:-1]
+            k = len(dom) - len(tails)
+            # The image of the last sibling settles most candidates at once.
+            if (
+                k < 0
+                or img[-1] != base + last
+                or dom[k:] != [u + t for t in tails]
+                or img[k:] != [base + t for t in tails]
+            ):
+                break
+            del dom[k:], img[k:]
+            w, v = u, base
+        dom.append(w)
+        img.append(v)
+    return VnElement(alphabet, tuple(dom), tuple(img))
 
 
 def canonicalize(pairs, alphabet: Alphabet) -> VnElement:
@@ -152,17 +146,18 @@ def canonicalize(pairs, alphabet: Alphabet) -> VnElement:
 
     Merges caret pairs: whenever all n children u.1..u.n are domain words
     with images v.1..v.n for a common v, the n rows collapse to u -> v.
-    The merges run in one deepest-first sweep (see ``_reduce``).  The
-    rewriting is confluent, so the result does not depend on the merge
-    order; ``test_canonicalize_ignores_merge_order`` checks this against
-    a restart-after-every-merge oracle on shuffled, refined tables.
+    The rows are sorted by domain word and reduced in one stack pass (see
+    ``_canonical``).  The rewriting is confluent, so the result does not
+    depend on the merge order; ``test_canonicalize_ignores_merge_order``
+    checks this against a restart-after-every-merge oracle on shuffled,
+    refined tables.
     """
     table: dict[Letters, Letters] = {}
     for w, v in pairs:
         if w.letters in table:
             raise NotABijectionError(f"duplicate domain word {w}")
         table[w.letters] = v.letters
-    return _element(table, alphabet)
+    return _canonical(sorted(table.items()), alphabet)
 
 
 def _check_image_partition(images: set[tuple], degree: int) -> None:
@@ -201,28 +196,32 @@ def _require_same_alphabet(g: VnElement, h: VnElement) -> None:
 def compose(g: VnElement, h: VnElement) -> VnElement:
     """The element x -> g(h(x)); in the product g*h the right factor acts first.
 
-    Each row w -> v of h meets g either at the one domain word of g that
-    is a prefix of v (found by dict lookup of v's prefixes), or, when v
-    stops short of g's domain, at the contiguous run of g's sorted domain
-    words that extend v (found by bisection).
+    Each row w -> v of h meets g at the last domain word u of g not after
+    v (found by bisection).  If u prefixes v, the row becomes w -> g(u).s
+    for v = u.s.  Otherwise v stops short of g's domain, and the domain
+    words of g that extend v sit together from the next index; each
+    v.s there gives a row w.s -> g(v.s).  The rows come out in sorted
+    domain order, since h's domain is sorted and no extension of w sorts
+    past the next domain word of h, so they go straight to the reducer.
     """
     _require_same_alphabet(g, h)
-    g_dom, g_map = g.dom, dict(zip(g.dom, g.img))
-    table: dict[Letters, Letters] = {}
+    g_dom, g_img = g.dom, g.img
+    rows: list[tuple[Letters, Letters]] = []
     for w, v in zip(h.dom, h.img):
-        for k in range(len(v) + 1):
-            z = g_map.get(v[:k])
-            if z is not None:
-                table[w] = z + v[k:]
+        # When v sorts before g_dom[0], i is -1 and g_dom[-1] is no prefix
+        # of v: a prefix of v would sort at or before v.
+        i = bisect_right(g_dom, v) - 1
+        u = g_dom[i]
+        if v[: len(u)] == u:
+            rows.append((w, g_img[i] + v[len(u) :]))
+            continue
+        cut = len(v)
+        for j in range(i + 1, len(g_dom)):
+            u = g_dom[j]
+            if u[:cut] != v:
                 break
-        else:
-            cut = len(v)
-            for i in range(bisect_left(g_dom, v), len(g_dom)):
-                u = g_dom[i]
-                if u[:cut] != v:
-                    break
-                table[w + u[cut:]] = g_map[u]
-    return _element(table, g.alphabet)
+            rows.append((w + u[cut:], g_img[j]))
+    return _canonical(rows, g.alphabet)
 
 
 def invert(g: VnElement) -> VnElement:
@@ -467,7 +466,8 @@ def random_element(
     dom = _random_leaves(alphabet, rng, expansions, max_depth)
     img = _random_leaves(alphabet, rng, expansions, max_depth)
     rng.shuffle(img)
-    return _element(dict(zip(dom, img)), alphabet)
+    # The leaves come sorted, so the rows are in domain order.
+    return _canonical(zip(dom, img), alphabet)
 
 
 def format_element(g: VnElement) -> str:
@@ -522,8 +522,9 @@ def parse_element(text: str) -> VnElement:
                 raise FileFormatError(str(exc), lineno) from exc
         rows.append((w, v))
     table = dict(rows)
+    dom = sorted(table)
     try:
-        _check_antichain(sorted(table), degree)
+        _check_antichain(dom, degree)
     except NotAPartitionError as exc:
         raise FileFormatError(f"domain is not a partition set: {exc}") from exc
     if len(table) != len(rows):
@@ -532,4 +533,4 @@ def parse_element(text: str) -> VnElement:
     if len(image_set) != len(table):
         raise NotABijectionError("image words are not distinct")
     _check_image_partition(image_set, degree)
-    return _element(table, alphabet)
+    return _canonical([(w, table[w]) for w in dom], alphabet)

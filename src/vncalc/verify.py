@@ -27,7 +27,7 @@ from .constructions import (
 )
 from .element import (
     VnElement,
-    _element,
+    _canonical,
     _image,
     commutator,
     compose,
@@ -247,8 +247,10 @@ def enumerate_en_group(gens, level: int | None = None) -> FiniteClosure:
                     nxt.append(r)
         frontier = nxt
     assert math.factorial(len(leaves)) % len(closure) == 0
+    # ``product`` yields the leaves in sorted order, so the rows are in
+    # domain order.
     elements = frozenset(
-        _element(dict(zip(leaves, [leaves[x] for x in p])), alphabet)
+        _canonical(zip(leaves, [leaves[x] for x in p]), alphabet)
         for p in closure
     )
     return FiniteClosure(len(closure), depth, elements)

@@ -380,13 +380,19 @@ def random_partition(
 
 
 def _random_leaves(alphabet, rng, expansions, max_depth) -> list[tuple[int, ...]]:
-    """The sorted words of a random partition set, as letter tuples; see ``random_partition``."""
+    """The sorted words of a random partition set, as letter tuples; see ``random_partition``.
+
+    The words stay sorted throughout: the children of an expanded word
+    sort exactly where it stood, since no other word of the antichain
+    lies between a word and its descendants.  Each step draws from the
+    expandable words in sorted order.
+    """
     words = [()]
     for _ in range(expansions):
-        candidates = sorted(w for w in words if max_depth is None or len(w) < max_depth)
-        if not candidates:
+        open_at = [i for i, w in enumerate(words) if max_depth is None or len(w) < max_depth]
+        if not open_at:
             raise ParameterRangeError("no expandable word below the depth bound")
-        w = rng.choice(candidates)
-        words.remove(w)
-        words.extend(w + (i,) for i in alphabet.letters)
-    return sorted(words)
+        i = rng.choice(open_at)
+        w = words[i]
+        words[i : i + 1] = [w + (a,) for a in alphabet.letters]
+    return words

@@ -6,7 +6,12 @@ pairwise refinement rule, inversion counting instead of cycle parity, and
 plain leaf-index permutation tuples instead of element arithmetic.
 ``naive_compose``/``naive_canonicalize`` are the original quadratic
 prefix-scan product and restart-after-every-merge reduction, kept as the
-reference for the dict-and-bisect kernel in ``vncalc.element``.
+reference for the bisect-and-stack kernel in ``vncalc.element``.
+``naive_embed`` is the original embedding, which hands the cone rows and
+the fixed sibling rows to ``naive_canonicalize`` in no particular order,
+kept as the reference for the sorted-row ``embed`` in
+``vncalc.constructions``.  ``naive_random_leaves`` is the original
+random partition loop, which re-sorts the leaves on every expansion.
 ``naive_apply_word`` is the original linear scan over an element's rows,
 kept as the reference for the bisect lookup of ``apply_word`` and
 ``VnElement.image_of`` on the letter-tuple storage.
@@ -30,6 +35,7 @@ from vncalc.errors import (
     MalformedWordError,
     NotABijectionError,
     NotAPartitionError,
+    ParameterRangeError,
     VnError,
     WordTooShortError,
 )
@@ -44,6 +50,14 @@ def W(text: str) -> Word:
 
 def words(*texts: str) -> list[Word]:
     return [Word.parse(t) for t in texts]
+
+
+def outcome(fn, *args):
+    """(exception class, message) of a call, or ("ok", result)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # any exception: its class is part of the comparison
+        return type(exc), str(exc)
 
 
 def naive_canonicalize(pairs, alphabet: Alphabet) -> VnElement:
@@ -101,6 +115,32 @@ def naive_compose(g: VnElement, h: VnElement) -> VnElement:
                 s = u.drop(len(v))
                 out.append((w + s, z))
     return naive_canonicalize(out, g.alphabet)
+
+
+def naive_embed(w: Word, g: VnElement) -> VnElement:
+    """The element acting as g inside the cone at w and trivially elsewhere."""
+    check_letters(w, g.alphabet)
+    pairs = [(w + u, w + v) for u, v in g.pairs()]
+    # Every sibling cone off the path to w is fixed.
+    for k, a in enumerate(w.letters):
+        for b in g.alphabet.letters:
+            if b != a:
+                s = w.take(k).child(b)
+                pairs.append((s, s))
+    return naive_canonicalize(pairs, g.alphabet)
+
+
+def naive_random_leaves(alphabet, rng, expansions, max_depth) -> list[tuple[int, ...]]:
+    """The sorted words of a random partition set, as letter tuples."""
+    words = [()]
+    for _ in range(expansions):
+        candidates = sorted(w for w in words if max_depth is None or len(w) < max_depth)
+        if not candidates:
+            raise ParameterRangeError("no expandable word below the depth bound")
+        w = rng.choice(candidates)
+        words.remove(w)
+        words.extend(w + (i,) for i in alphabet.letters)
+    return sorted(words)
 
 
 def naive_apply_word(g: VnElement, w: Word) -> Word:

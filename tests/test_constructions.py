@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import W
+from conftest import W, naive_embed
 from vncalc.constructions import (
     AlphaPlan,
     Permutation,
@@ -195,6 +195,28 @@ def test_embed_is_homomorphism_in_the_element():
         g, h = random_element(A3, rng), random_element(A3, rng)
         w = Word(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2))))
         assert embed(w, compose(g, h)) == compose(embed(w, g), embed(w, h))
+
+
+@st.composite
+def embeddings(draw):
+    """(w, g) over n in {2, 3, 5}: g canonical with up to 60 carets, or the
+    identity; w of length 0 to 6, so eps is among the cone words."""
+    alphabet = Alphabet(draw(st.sampled_from((2, 3, 5))))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 3)) == 0:
+        g = identity(alphabet)
+    else:
+        g = random_element(alphabet, rng, draw(st.integers(1, 60)), max_depth=None)
+    length = draw(st.integers(0, 6))
+    w = Word(tuple(rng.randint(1, alphabet.degree) for _ in range(length)))
+    return w, g
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(embeddings())
+def test_embed_matches_naive_oracle(case):
+    w, g = case
+    assert format_element(embed(w, g)) == format_element(naive_embed(w, g))
 
 
 def test_embed_support_stays_in_cone():

@@ -11,12 +11,14 @@ from conftest import (
     naive_apply_word,
     naive_canonicalize,
     naive_compose,
+    outcome,
     parity_by_inversions,
     random_volume_preserving,
     words,
 )
 from vncalc.element import (
     ConeKind,
+    _canonical,
     apply_point,
     apply_word,
     canonicalize,
@@ -46,8 +48,15 @@ from vncalc.errors import (
     SignUndefinedError,
     WordTooShortError,
 )
-from vncalc.constructions import embed, make_t, make_tau, sigma_dot
-from vncalc.words import Alphabet, PartitionSet, Word, expand_to_level, point_normalize
+from vncalc.constructions import Permutation, dot, embed, make_t, make_tau, sigma_dot
+from vncalc.words import (
+    Alphabet,
+    PartitionSet,
+    Word,
+    expand_to_level,
+    point_normalize,
+    random_partition,
+)
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -64,6 +73,11 @@ def action_table(g, depth):
     return {
         w: apply_word(g, w) for w in PartitionSet.level(g.alphabet, depth).words
     }
+
+
+def dot_swap_1_3(alphabet):
+    """The lift of the transposition (1 3): its row 1 -> 3 meets the cone at 3."""
+    return dot(Permutation.from_cycles([(1, 3)], alphabet.degree), alphabet)
 
 
 def refine_pairs(pairs, word, alphabet):
@@ -113,6 +127,33 @@ def test_make_element_bad_images():
 def test_canonicalize_merges_coherent_children():
     g = canonicalize([(W("1.1"), W("2.1")), (W("1.2"), W("2.2")), (W("2"), W("1"))], A2)
     assert g == elt(A2, {"1": "2", "2": "1"})
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        # The last two children of the caret at 2 map coherently, the
+        # first does not.
+        {"1": "1.1", "2.1": "2", "2.2": "1.2", "2.3": "1.3", "3": "3"},
+        # The images below the caret at 2 would merge to 1, but 2.1 is no
+        # leaf: the row before 2.2 is 2.1.3.
+        {
+            "1": "3",
+            "2.1.1": "2.1",
+            "2.1.2": "2.2",
+            "2.1.3": "1.1",
+            "2.2": "1.2",
+            "2.3": "1.3",
+            "3": "2.3",
+        },
+    ],
+    ids=["first-image", "deeper-sibling"],
+)
+def test_canonicalize_needs_every_child_of_a_caret(table):
+    pairs = [(W(w), W(v)) for w, v in table.items()]
+    g = canonicalize(pairs, A3)
+    assert len(g.dom) == len(table)
+    assert g == naive_canonicalize(pairs, A3)
 
 
 def test_canonicalize_idempotent_on_canonical():
@@ -281,15 +322,63 @@ def test_canonicalize_ignores_merge_order(factors, refinements, seed):
     assert format_element(reduced) == format_element(naive_canonicalize(pairs, gh.alphabet))
 
 
+@st.composite
+def sorted_tables(draw):
+    """Sorted, refined letter-tuple tables over n in {2, 3, 5}.
+
+    Either a canonical element of 40-100 carets with 1-30 rows refined
+    (children of refined rows too), or a table that reduces all the way
+    to the identity: the identity on a random partition of 40-100 carets,
+    or on a full level of at least 40 carets.
+    """
+    n = draw(st.sampled_from((2, 3, 5)))
+    alphabet = Alphabet(n)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("refined", "identity", "level")))
+    if kind == "level":
+        depth = next(d for d in range(1, 9) if (n**d - 1) // (n - 1) >= 40)
+        leaves = expand_to_level(identity(alphabet).domain, depth).words
+        pairs = list(zip(leaves, leaves))
+    elif kind == "identity":
+        leaves = random_partition(alphabet, rng, draw(st.integers(40, 100))).words
+        pairs = list(zip(leaves, leaves))
+    else:
+        g = random_element(alphabet, rng, draw(st.integers(40, 100)), max_depth=None)
+        pairs = list(g.pairs())
+        for _ in range(draw(st.integers(1, 30))):
+            pairs = refine_pairs(pairs, rng.choice(pairs)[0], alphabet)
+    return alphabet, sorted(pairs)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(sorted_tables())
+def test_canonical_matches_naive_oracle(case):
+    alphabet, pairs = case
+    rows = [(w.letters, v.letters) for w, v in pairs]
+    assert format_element(_canonical(rows, alphabet)) == format_element(
+        naive_canonicalize(pairs, alphabet)
+    )
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        # sigma's row 2 -> 1 meets tau's domain before its first word 1.1.
+        (make_tau(A2), sigma_dot(A2)),
+        # The image eps stops short of every domain word of g.
+        (make_tau(A3), identity(A3)),
+        (make_t(A2), identity(A2)),
+        # The image 2 prefixes the run 2.1, 2.2 that ends g's domain.
+        (embed(W("2"), sigma_dot(A2)), sigma_dot(A2)),
+        (embed(W("3.3"), make_tau(A3)), dot_swap_1_3(A3)),
+    ],
+    ids=["before-first", "eps-v3", "eps-v2", "last-run", "last-run-deep"],
+)
+def test_compose_at_the_bisection_edges(g, h):
+    assert format_element(compose(g, h)) == format_element(naive_compose(g, h))
+
+
 # --- the letter-tuple storage against Word-built references --------------------
-
-
-def outcome(fn, *args):
-    """(exception class, message) of a call, or ("ok", result)."""
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:  # any exception: its class is part of the comparison
-        return type(exc), str(exc)
 
 
 @st.composite

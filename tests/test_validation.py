@@ -7,26 +7,35 @@ tables are accepted with equal results, and every defect raises the same
 exception class with a byte-identical message.
 """
 
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_from_words, naive_make_element, naive_parse_element
-from vncalc.constructions import sigma_dot
+from conftest import naive_from_words, naive_make_element, naive_parse_element, outcome
+from vncalc.constructions import (
+    AlphaPlan,
+    Permutation,
+    SidonSet,
+    default_base,
+    make_s_alpha,
+    plan_alpha,
+    save_alpha_plan,
+    sidon_generate,
+    sigma_dot,
+)
 from vncalc.element import format_element, make_element, parse_element, random_element
-from vncalc.errors import LevelTooSmallError, MalformedWordError, ParameterRangeError, VnError
+from vncalc.errors import (
+    FileFormatError,
+    LevelTooSmallError,
+    MalformedWordError,
+    ParameterRangeError,
+    VnError,
+)
 from vncalc.verify import enumerate_en_group, run_suites, verify_s_alpha_conjugation
 from vncalc.words import Alphabet, PartitionSet, Word, random_partition
-
-
-def outcome(fn, *args):
-    """(exception class, message) of a call, or ("ok", result)."""
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:  # any exception: its class is part of the comparison
-        return type(exc), str(exc)
 
 
 def word_text(letters) -> str:
@@ -213,8 +222,74 @@ def test_public_word_construction_validates(build, message):
             "level 0 is below the deepest generator table 1",
         ),
         (lambda: run_suites("nope", (2,)), ParameterRangeError, "unknown suite 'nope'"),
+        (
+            lambda: Permutation((1, 1)),
+            ParameterRangeError,
+            "not a permutation of 1..2: (1, 1)",
+        ),
+        (
+            lambda: Permutation.from_cycles([(3,)], 2),
+            ParameterRangeError,
+            "cycle entry 3 outside 1..2",
+        ),
+        (
+            lambda: Permutation.from_cycles([(1, 2), (2,)], 2),
+            ParameterRangeError,
+            "cycles are not disjoint at 2",
+        ),
+        (
+            lambda: SidonSet(frozenset({0})),
+            ParameterRangeError,
+            "members must be positive integers, got 0",
+        ),
+        (
+            lambda: SidonSet(frozenset({1, 2, 3})),
+            ParameterRangeError,
+            "pairwise differences collide in [1, 2, 3]",
+        ),
+        (lambda: sidon_generate(2, "nope"), ParameterRangeError, "unknown strategy 'nope'"),
+        (
+            lambda: make_s_alpha([]),
+            ParameterRangeError,
+            "an alphabet is required for the empty sequence",
+        ),
+        (
+            lambda: AlphaPlan.from_entries([]),
+            ParameterRangeError,
+            "an alphabet is required for the empty sequence",
+        ),
+        (lambda: plan_alpha([]), ParameterRangeError, "base must be nonempty"),
+        (
+            # Raises before the file is opened.
+            lambda: save_alpha_plan(plan_alpha(default_base(Alphabet(2), 1)), os.devnull, {}),
+            FileFormatError,
+            "no element file given for indices [1]",
+        ),
+        (
+            lambda: sigma_dot(Alphabet(2)).image_of(Word((1, 1))),
+            ParameterRangeError,
+            "1.1 is not a domain word",
+        ),
     ],
-    ids=["level-depth", "random-partition", "empty-sequence", "no-generators", "level", "suite"],
+    ids=[
+        "level-depth",
+        "random-partition",
+        "empty-sequence",
+        "no-generators",
+        "level",
+        "suite",
+        "permutation",
+        "cycle-entry",
+        "cycles-disjoint",
+        "sidon-member",
+        "sidon-collide",
+        "sidon-strategy",
+        "spinal-empty",
+        "plan-entries-empty",
+        "plan-base-empty",
+        "plan-file-missing",
+        "image-of",
+    ],
 )
 def test_range_errors_are_typed(call, error, message):
     with pytest.raises(error) as info:

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import W, refine_oracle, tree_complete_oracle, words
+from conftest import (
+    W,
+    naive_random_leaves,
+    outcome,
+    refine_oracle,
+    tree_complete_oracle,
+    words,
+)
 from vncalc.errors import (
     LevelTooSmallError,
     MalformedWordError,
@@ -17,6 +24,7 @@ from vncalc.words import (
     PartitionSet,
     RationalPoint,
     Word,
+    _random_leaves,
     expand_to_level,
     is_partition_set,
     point_normalize,
@@ -88,6 +96,20 @@ def test_partition_set_matches_tree_oracle():
             broken = list(part.words)[1:]
             if broken:
                 assert not is_partition_set(broken, alphabet)
+
+
+@pytest.mark.parametrize("max_depth", [None, 2, 4])
+@pytest.mark.parametrize("expansions", [4, 40])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_random_leaves_match_resorting_loop(n, expansions, max_depth):
+    # Same leaves, same rng state afterwards, and the same "no expandable
+    # word" error as the loop that re-sorts on every expansion.
+    alphabet = Alphabet(n)
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = outcome(_random_leaves, alphabet, rng, expansions, max_depth)
+        assert got == outcome(naive_random_leaves, alphabet, ref, expansions, max_depth)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_refine_when_one_refines_the_other():
