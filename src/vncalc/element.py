@@ -19,6 +19,7 @@ from itertools import takewhile
 from .errors import (
     AlphabetMismatchError,
     ArityError,
+    BudgetExceededError,
     FileFormatError,
     NotABijectionError,
     NotAPartitionError,
@@ -35,6 +36,7 @@ from .words import (
     _check_antichain,
     _check_degree,
     _parse_letters,
+    _plain_letters,
     _random_leaves,
     _text,
     _word,
@@ -231,17 +233,41 @@ def invert(g: VnElement) -> VnElement:
     return VnElement(g.alphabet, tuple([v for v, _ in flipped]), tuple([w for _, w in flipped]))
 
 
+# Letters (domain plus image words) that the tables built by the loop of
+# one ``power`` or ``order_bounded`` call may hold in total.  t^k holds
+# about k * k letters, so without a bound t^100000, or the order of t up
+# to 10^8, runs for hours.  The largest total that the tests and the
+# benchmark workloads reach is 15,456 letters; t^3000 takes 15.8 M.  A
+# table is counted once built, so the last one may pass the budget:
+# t^100000 stops after building t^4096 (16.8 M letters, about 1 s).
+_WORK_BUDGET = 20_000_000
+
+
+def _spend(budget: int, g: VnElement, what: str) -> int:
+    """The budget left after building g; raise once it is used up."""
+    budget -= sum(map(len, g.dom)) + sum(map(len, g.img))
+    if budget < 0:
+        raise BudgetExceededError(
+            f"{what} stopped: its tables passed the work budget of "
+            f"{_WORK_BUDGET} letters"
+        )
+    return budget
+
+
 def power(g: VnElement, k: int) -> VnElement:
     """g^k by square-and-multiply; a negative k powers the inverse."""
     if k < 0:
         return power(invert(g), -k)
     acc = identity(g.alphabet)
+    budget = _WORK_BUDGET
     while k:
         if k & 1:
             acc = compose(acc, g)
+            budget = _spend(budget, acc, "power")
         k >>= 1
         if k:
             g = compose(g, g)
+            budget = _spend(budget, g, "power")
     return acc
 
 
@@ -305,10 +331,12 @@ def order_bounded(g: VnElement, bound: int = 64) -> int | None:
     if bound < 1:
         raise ParameterRangeError("bound must be >= 1")
     acc = g
+    budget = _WORK_BUDGET
     for k in range(1, bound + 1):
         if acc.is_identity():
             return k
         acc = compose(acc, g)
+        budget = _spend(budget, acc, "order")
     return None
 
 
@@ -480,15 +508,15 @@ def format_element(g: VnElement) -> str:
 def parse_element(text: str) -> VnElement:
     """Parse the text form; non-canonical tables are accepted and reduced.
 
-    Every row is parsed straight into letter tuples and checked against
-    the alphabet (``FileFormatError`` with its line number).  The domain
-    must then form a partition set without repeats (``FileFormatError``),
-    and the images must be distinct and form a partition set
-    (``NotABijectionError``).  The checked table is reduced and wrapped
-    without validating its words again.
+    Every row is parsed straight into letter tuples (each distinct short
+    word text once per process, see ``words._plain_letters``) and checked
+    against the alphabet (``FileFormatError`` with its line number).  The
+    domain must then form a partition set without repeats
+    (``FileFormatError``), and the images must be distinct and form a
+    partition set (``NotABijectionError``).  The checked table is reduced
+    and wrapped without validating its words again.
     """
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    lines = [(i, ln) for i, ln in lines if ln]
+    lines = [(i, ln) for i, raw in enumerate(text.splitlines(), 1) if (ln := raw.strip())]
     if not lines:
         raise FileFormatError("empty element text")
     lineno, header = lines[0]
@@ -508,13 +536,10 @@ def parse_element(text: str) -> VnElement:
         left, right = ln.split("->", 1)
         # A row of plain letters in 1..degree is taken as it stands; "eps"
         # and every defect go through the word parser for its exact error.
-        # The lists give exact-size tuples, as in ``_parse_letters``.
-        try:
-            w = tuple([*map(int, left.split("."))])
-            v = tuple([*map(int, right.split("."))])
-        except ValueError:
-            w = v = None
-        if w is None or not (in_alphabet.issuperset(w) and in_alphabet.issuperset(v)):
+        # The letter check stays per row: a text's letters are memoized,
+        # but whether they fit depends on this element's degree.
+        w, v = _plain_letters(left), _plain_letters(right)
+        if not (w and v and in_alphabet.issuperset(w) and in_alphabet.issuperset(v)):
             try:
                 w, v = _parse_letters(left), _parse_letters(right)
                 _check_degree((w, v), degree)

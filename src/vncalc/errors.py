@@ -57,6 +57,10 @@ class ConstructionFailedError(VnError, RuntimeError):
     """A searched-for auxiliary element could not be found."""
 
 
+class BudgetExceededError(VnError):
+    """A loop built tables holding more letters in total than its work budget."""
+
+
 class ExpressionError(VnError, ValueError):
     """Syntax or name-resolution failure in the expression language."""
 

@@ -419,6 +419,12 @@ def abelianization_suite(
         reports.append(
             VerificationReport("abelianization", f"n={n} swap", PASS if ok else FAIL)
         )
+        params = f"n={n} commutators x{count}"
+        if count < 1:
+            reports.append(
+                VerificationReport("abelianization", params, SKIP, reason="count must be >= 1")
+            )
+            continue
         rng = random.Random(seed)
         ok = True
         for _ in range(count):
@@ -426,11 +432,7 @@ def abelianization_suite(
             if abelianization_image(commutator(a, b)) != AbelianImage.TRIVIAL:
                 ok = False
                 break
-        reports.append(
-            VerificationReport(
-                "abelianization", f"n={n} commutators x{count}", PASS if ok else FAIL
-            )
-        )
+        reports.append(VerificationReport("abelianization", params, PASS if ok else FAIL))
     return reports
 
 
@@ -454,6 +456,8 @@ SUITE_ALIASES = {"translation": "eq2", "shift": "eq3", "commutator": "trick"}
 
 def run_suites(which: str, degrees, kmax: int = 5, count: int = 200, seed: int = 0):
     """All reports for one named suite, or for every suite with 'all'."""
+    if count < 0:
+        raise ParameterRangeError("count must be >= 0")
     opts = {"degrees": tuple(degrees), "kmax": kmax, "count": count, "seed": seed}
     which = SUITE_ALIASES.get(which, which)
     if which == "all":

@@ -8,6 +8,7 @@ always decided by exact rational measure arithmetic, never by floats.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,8 +60,9 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # Exactly int: True would equal 1 in a tuple and print as "True".
         for x in self.letters:
-            if not isinstance(x, int) or x < 1:
+            if type(x) is not int or x < 1:
                 raise MalformedWordError(f"letters must be integers >= 1, got {x!r}")
 
     def __len__(self) -> int:
@@ -116,8 +118,52 @@ def _word(letters: tuple[int, ...]) -> Word:
     return w
 
 
-def _text(letters: tuple[int, ...]) -> str:
+# Conversions between a word's letters and its text are memoized: a ball
+# file repeats a few hundred distinct words over a hundred thousand rows.
+# Each memo keeps at most _MEMO_SIZE words, and a word of more than
+# _MEMO_LETTERS letters (a text of more than 2 * _MEMO_LETTERS characters,
+# room for one-digit letters and a space) is converted directly, so a
+# long power such as t^3000 leaves nothing large behind.  Keys compare as
+# tuples, which is why ``Word`` admits only exact ``int`` letters.
+_MEMO_SIZE = 4096
+_MEMO_LETTERS = 32
+
+
+def _join(letters: tuple[int, ...]) -> str:
     return ".".join(map(str, letters)) if letters else "eps"
+
+
+_memo_join = functools.lru_cache(maxsize=_MEMO_SIZE)(_join)
+
+
+def _text(letters: tuple[int, ...]) -> str:
+    """The text form of a letter tuple: ``1.1.2``, or ``eps`` for no letters."""
+    if len(letters) > _MEMO_LETTERS:
+        return _join(letters)
+    return _memo_join(letters)
+
+
+def _split(text: str) -> tuple[int, ...] | None:
+    # Built from a list, so the tuple gets its exact size: a tuple grown
+    # from an iterator can keep a larger memory block than it needs.
+    try:
+        return tuple([*map(int, text.split("."))])
+    except ValueError:
+        return None
+
+
+_memo_split = functools.lru_cache(maxsize=_MEMO_SIZE)(_split)
+
+
+def _plain_letters(text: str) -> tuple[int, ...] | None:
+    """Letter tuple of a text of dot-separated integers, or None for any other text.
+
+    ``int`` rules apply to each part, spaces around it included.  Letters
+    are not range-checked, and ``eps`` gives None: callers check both.
+    """
+    if len(text) > 2 * _MEMO_LETTERS:
+        return _split(text)
+    return _memo_split(text)
 
 
 def _parse_letters(text: str) -> tuple[int, ...]:
@@ -127,12 +173,9 @@ def _parse_letters(text: str) -> tuple[int, ...]:
         return ()
     if not text:
         raise MalformedWordError("empty word text; write 'eps' for the empty word")
-    # Built from a list, so the tuple gets its exact size: a tuple grown
-    # from an iterator can keep a larger memory block than it needs.
-    try:
-        letters = tuple([*map(int, text.split("."))])
-    except ValueError:
-        raise MalformedWordError(f"bad word syntax {text!r}") from None
+    letters = _plain_letters(text)
+    if letters is None:
+        raise MalformedWordError(f"bad word syntax {text!r}")
     if min(letters) < 1:
         bad = next(x for x in letters if x < 1)
         raise MalformedWordError(f"letters must be integers >= 1, got {bad!r}")

@@ -20,6 +20,11 @@ kept as the reference for the bisect lookup of ``apply_word`` and
 validate-every-Word parsers and checks, kept as the reference for the
 tuple-level validation in ``vncalc.words`` and ``vncalc.element``: they
 must accept the same tables and raise the same errors, byte for byte.
+``naive_format_element`` and ``naive_tuple_parse_element`` are the
+element text writer and tuple parser as they were before the word memos
+of ``vncalc.words``: they convert every word text on every row, and are
+kept as the reference for the memoized ``format_element`` and
+``parse_element``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from vncalc.element import VnElement, _require_same_alphabet
+from vncalc.element import (
+    VnElement,
+    _canonical,
+    _check_image_partition,
+    _require_same_alphabet,
+)
 from vncalc.errors import (
     ArityError,
     FileFormatError,
@@ -39,7 +49,14 @@ from vncalc.errors import (
     VnError,
     WordTooShortError,
 )
-from vncalc.words import Alphabet, PartitionSet, Word, check_letters
+from vncalc.words import (
+    Alphabet,
+    PartitionSet,
+    Word,
+    _check_antichain,
+    _check_degree,
+    check_letters,
+)
 
 Pair = tuple[Word, Word]
 
@@ -246,6 +263,69 @@ def naive_parse_element(text: str) -> VnElement:
         raise FileFormatError("duplicate domain words")
     table = dict(rows)
     return naive_make_element(dom, [table[w] for w in dom.words])
+
+
+def naive_text(letters: tuple[int, ...]) -> str:
+    return ".".join(map(str, letters)) if letters else "eps"
+
+
+def naive_format_element(g: VnElement) -> str:
+    """Bit-exact text form: header line then one sorted row per cone."""
+    lines = [f"vn {g.alphabet.degree}"]
+    lines.extend(f"{naive_text(w)} -> {naive_text(v)}" for w, v in zip(g.dom, g.img))
+    return "\n".join(lines)
+
+
+def naive_tuple_parse_element(text: str) -> VnElement:
+    """Parse the text form; non-canonical tables are accepted and reduced.
+
+    The word texts go through ``naive_parse_word``, which raises the
+    errors of the package's word parser without its memo.
+    """
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
+    lines = [(i, ln) for i, ln in lines if ln]
+    if not lines:
+        raise FileFormatError("empty element text")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "vn":
+        raise FileFormatError(f"expected 'vn <degree>', got {header!r}", lineno)
+    try:
+        alphabet = Alphabet(int(parts[1]))
+    except ValueError as exc:
+        raise FileFormatError(str(exc), lineno) from exc
+    degree = alphabet.degree
+    in_alphabet = frozenset(alphabet.letters)
+    rows = []
+    for lineno, ln in lines[1:]:
+        if "->" not in ln:
+            raise FileFormatError(f"expected '<word> -> <word>', got {ln!r}", lineno)
+        left, right = ln.split("->", 1)
+        try:
+            w = tuple([*map(int, left.split("."))])
+            v = tuple([*map(int, right.split("."))])
+        except ValueError:
+            w = v = None
+        if w is None or not (in_alphabet.issuperset(w) and in_alphabet.issuperset(v)):
+            try:
+                w, v = naive_parse_word(left).letters, naive_parse_word(right).letters
+                _check_degree((w, v), degree)
+            except VnError as exc:
+                raise FileFormatError(str(exc), lineno) from exc
+        rows.append((w, v))
+    table = dict(rows)
+    dom = sorted(table)
+    try:
+        _check_antichain(dom, degree)
+    except NotAPartitionError as exc:
+        raise FileFormatError(f"domain is not a partition set: {exc}") from exc
+    if len(table) != len(rows):
+        raise FileFormatError("duplicate domain words")
+    image_set = set(table.values())
+    if len(image_set) != len(table):
+        raise NotABijectionError("image words are not distinct")
+    _check_image_partition(image_set, degree)
+    return _canonical([(w, table[w]) for w in dom], alphabet)
 
 
 def tree_complete_oracle(word_list, n: int) -> bool:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vncalc
-from vncalc import cli
+from vncalc import cli, element
 from vncalc.cli import build_parser, main
 from vncalc.constructions import (
     default_base,
@@ -281,6 +281,35 @@ def test_verify_with_no_checks_fails(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: no checks ran\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("eval", "-n", "2", "-e", "t^100000"), "power stopped"),
+        (("order", "-n", "2", "-e", "t", "--bound", "100000000"), "order stopped"),
+    ],
+    ids=["power", "order"],
+)
+def test_oversized_request_is_reported(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(element, "_WORK_BUDGET", 10_000)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}: its tables passed the work budget of 10000 letters\n"
+
+
+def test_verify_negative_count_is_an_error(capsys):
+    code, out, err = run(capsys, "verify", "abelianization", "-n", "2", "--count", "-3")
+    assert (code, out, err) == (1, "", "error: count must be >= 0\n")
+
+
+def test_verify_zero_count_skips_the_commutator_check(capsys):
+    code, out, _ = run(capsys, "verify", "abelianization", "-n", "2", "--count", "0")
+    assert code == 0
+    assert out == (
+        "abelianization n=2 swap PASS\n"
+        "abelianization n=2 commutators x0 SKIP(count must be >= 1)\n"
+    )
 
 
 def test_main_builds_one_parser_and_reuses_it(monkeypatch, capsys):

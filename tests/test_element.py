@@ -16,6 +16,7 @@ from conftest import (
     random_volume_preserving,
     words,
 )
+from vncalc import element
 from vncalc.element import (
     ConeKind,
     _canonical,
@@ -43,6 +44,7 @@ from vncalc.element import (
 from vncalc.errors import (
     AlphabetMismatchError,
     ArityError,
+    BudgetExceededError,
     FileFormatError,
     NotABijectionError,
     SignUndefinedError,
@@ -253,6 +255,18 @@ def test_power_agrees_with_iterated_product():
             acc = compose(acc, g)
             back = compose(back, g_inv)
         assert power(g, -2) == invert(compose(g, g))
+
+
+def test_power_and_order_stop_at_the_work_budget(monkeypatch):
+    """t^k holds about k * k letters: past the budget a loop step raises."""
+    t = make_t(A2)
+    with pytest.raises(BudgetExceededError, match="order stopped"):
+        order_bounded(t, 10**8)
+    monkeypatch.setattr(element, "_WORK_BUDGET", 10_000)
+    assert power(t, 40) == compose(power(t, 39), t)
+    for k in (10**5, -(10**5)):
+        with pytest.raises(BudgetExceededError, match="power stopped"):
+            power(t, k)
 
 
 def test_conjugating_embedded_by_t_translates():

@@ -14,19 +14,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_from_words, naive_make_element, naive_parse_element, outcome
+from conftest import (
+    naive_format_element,
+    naive_from_words,
+    naive_make_element,
+    naive_parse_element,
+    naive_tuple_parse_element,
+    outcome,
+)
 from vncalc.constructions import (
     AlphaPlan,
     Permutation,
     SidonSet,
     default_base,
     make_s_alpha,
+    make_t,
     plan_alpha,
     save_alpha_plan,
     sidon_generate,
     sigma_dot,
 )
-from vncalc.element import format_element, make_element, parse_element, random_element
+from vncalc.element import (
+    compose,
+    format_element,
+    make_element,
+    parse_element,
+    power,
+    random_element,
+)
 from vncalc.errors import (
     FileFormatError,
     LevelTooSmallError,
@@ -147,6 +162,67 @@ def test_parsers_match_naive_oracle_on_corrupted_tables(table, kinds):
 
 
 @st.composite
+def deep_elements(draw):
+    """(g, rng): a 40-100 caret element at n in {2, 3, 5} times t^k, k in 0..48.
+
+    t^k has words of up to k + 1 letters, so many tables hold words past
+    the memos' length cap; over the examples there are more distinct words
+    than a memo keeps, so the memos evict.
+    """
+    alphabet = Alphabet(draw(st.sampled_from((2, 3, 5))))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = random_element(alphabet, rng, draw(st.integers(40, 100)), max_depth=None)
+    return compose(g, power(make_t(alphabet), draw(st.integers(0, 48)))), rng
+
+
+GARBLED = ("eps", "", "x", "1..2", "0", "+1", "1.-1", "1_1", " 1 . 2 ")
+
+
+def garble(text: str, rng: random.Random) -> str:
+    """The text with one word of one row replaced by a token from GARBLED."""
+    lines = text.split("\n")
+    i = rng.choice([i for i, ln in enumerate(lines) if "->" in ln])
+    left, right = lines[i].split("->", 1)
+    token = rng.choice(GARBLED)
+    lines[i] = f"{token} ->{right}" if rng.randrange(2) else f"{left}-> {token}"
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    deep_elements(),
+    st.lists(st.sampled_from(KINDS), max_size=2),
+    st.booleans(),
+)
+def test_word_memos_match_unmemoized_conversion(element, kinds, garbled):
+    g, rng = element
+    text = format_element(g)
+    assert text == naive_format_element(g)
+    assert parse_element(text) == naive_tuple_parse_element(text) == g
+
+    degree = g.alphabet.degree
+    rows = list(zip(g.dom, g.img))
+    for kind in kinds:
+        rows = corrupt(degree, rows, kind, rng)
+    mutated = table_text(degree, rows, rng)
+    if garbled:
+        mutated = garble(mutated, rng)
+    assert outcome(parse_element, mutated) == outcome(naive_tuple_parse_element, mutated)
+
+
+def test_memo_hit_still_checks_the_degree():
+    """A word text seen at n = 3 is checked again at n = 2, with its line number."""
+    rows = "1 -> 3.3\n2.1 -> 2\n2.2 -> 3.1\n2.3 -> 1\n3 -> 3.2\n"
+    assert parse_element("vn 3\n" + rows) == naive_tuple_parse_element("vn 3\n" + rows)
+    with pytest.raises(FileFormatError) as info:
+        parse_element("vn 2\n" + rows)
+    assert str(info.value) == "line 2: letter 3 of word 3.3 exceeds alphabet degree 2"
+    assert outcome(parse_element, "vn 2\n" + rows) == outcome(
+        naive_tuple_parse_element, "vn 2\n" + rows
+    )
+
+
+@st.composite
 def word_sets(draw):
     """Random partitions at n in {2, 3, 5}, some of them broken.
 
@@ -186,11 +262,12 @@ def test_from_words_matches_naive_oracle(case):
         (lambda: Word((0,)), "letters must be integers >= 1, got 0"),
         (lambda: Word((1.5,)), "letters must be integers >= 1, got 1.5"),
         (lambda: Word(("1",)), "letters must be integers >= 1, got '1'"),
+        (lambda: Word((True, 2)), "letters must be integers >= 1, got True"),
         (lambda: Word.parse("1.0.-1"), "letters must be integers >= 1, got 0"),
         (lambda: Word.parse(""), "empty word text; write 'eps' for the empty word"),
         (lambda: Word.parse("1..2"), "bad word syntax '1..2'"),
     ],
-    ids=["zero", "float", "str", "parse-zero", "parse-empty", "parse-double-dot"],
+    ids=["zero", "float", "str", "bool", "parse-zero", "parse-empty", "parse-double-dot"],
 )
 def test_public_word_construction_validates(build, message):
     with pytest.raises(MalformedWordError) as info:
@@ -222,6 +299,7 @@ def test_public_word_construction_validates(build, message):
             "level 0 is below the deepest generator table 1",
         ),
         (lambda: run_suites("nope", (2,)), ParameterRangeError, "unknown suite 'nope'"),
+        (lambda: run_suites("eq3", (2,), count=-1), ParameterRangeError, "count must be >= 0"),
         (
             lambda: Permutation((1, 1)),
             ParameterRangeError,
@@ -278,6 +356,7 @@ def test_public_word_construction_validates(build, message):
         "no-generators",
         "level",
         "suite",
+        "suite-count",
         "permutation",
         "cycle-entry",
         "cycles-disjoint",

@@ -19,12 +19,15 @@ from vncalc.errors import (
     MalformedWordError,
     NotAPartitionError,
 )
+from vncalc import words as words_module
 from vncalc.words import (
     Alphabet,
     PartitionSet,
     RationalPoint,
     Word,
+    _plain_letters,
     _random_leaves,
+    _text,
     expand_to_level,
     is_partition_set,
     point_normalize,
@@ -50,6 +53,27 @@ def test_word_parse_rejects_garbage():
     for bad in ["", "1..2", "a.b", "0", "-1"]:
         with pytest.raises(MalformedWordError):
             Word.parse(bad)
+
+
+def test_word_memos_stay_bounded():
+    """Each memo keeps at most _MEMO_SIZE words; longer words skip both memos."""
+    size, cap = words_module._MEMO_SIZE, words_module._MEMO_LETTERS
+    memos = (words_module._memo_join, words_module._memo_split)
+    short = [tuple(int(b) + 1 for b in f"{i:013b}") for i in range(size + 100)]
+    for letters in short + short[:100]:
+        text = _text(letters)
+        assert text == ".".join(map(str, letters))
+        assert _plain_letters(text) == letters
+    assert [m.cache_info().currsize for m in memos] == [size, size]
+
+    misses = [m.cache_info().misses for m in memos]
+    at_cap = (2,) * cap
+    assert _plain_letters(_text(at_cap)) == at_cap
+    assert [m.cache_info().misses for m in memos] == [k + 1 for k in misses]
+    past_cap = (2,) * (cap + 1)
+    assert _plain_letters(_text(past_cap)) == past_cap
+    assert _plain_letters(" 2" + ".2" * cap) == past_cap
+    assert [m.cache_info().misses for m in memos] == [k + 1 for k in misses]
 
 
 def test_word_prefix_relations():
