@@ -118,26 +118,41 @@ def _canonical(rows, alphabet: Alphabet) -> VnElement:
     mergeable after its last child is pushed, so one pass leaves none,
     and the stack is already the sorted canonical table.  No letter is
     checked again.
+
+    The domain side of that test is one length comparison.  The stack
+    always holds a sorted antichain that covers exactly the cones of the
+    rows read so far, since a merge replaces the rows of a caret by its
+    root.  When u.n arrives, no prefix of u is on the stack (the domain
+    is prefix-free), and the cones u.1..u.(n-1), which the domain covers
+    and which sort just before u.n, are covered by the top rows of the
+    stack, each of length at least len(u.n).  So the stack holds at
+    least n - 1 rows, and the (n-1)-th row from the top, dom[k], lies in
+    some cone u.j.  If it has the length of u.n it is u.j itself, and
+    the n - 2 rows above it cover the n - 1 - j cones u.(j+1)..u.(n-1).
+    A cone covered by more than one row is split into at least n of
+    them, so if any were split those rows would number at least
+    2n - 2 - j > n - 2; hence none is, and j = 1: the top rows are
+    exactly u.1..u.(n-1).  Conversely, if they are, dom[k] is u.1.  At
+    n = 2 the one row to compare is the top one, so the test of img[-1]
+    is the whole image test.
     """
     n = alphabet.degree
+    m = n - 1
     tails = [(i,) for i in range(1, n)]
     last = tails[-1]
     dom: list[Letters] = []
     img: list[Letters] = []
     for w, v in rows:
         while w and w[-1] == n and v and v[-1] == n:
-            u, base = w[:-1], v[:-1]
-            k = len(dom) - len(tails)
+            k = len(dom) - m
+            if len(dom[k]) != len(w):
+                break
+            base = v[:-1]
             # The image of the last sibling settles most candidates at once.
-            if (
-                k < 0
-                or img[-1] != base + last
-                or dom[k:] != [u + t for t in tails]
-                or img[k:] != [base + t for t in tails]
-            ):
+            if img[-1] != base + last or (m > 1 and img[k:] != [base + t for t in tails]):
                 break
             del dom[k:], img[k:]
-            w, v = u, base
+            w, v = w[:-1], base
         dom.append(w)
         img.append(v)
     return VnElement(alphabet, tuple(dom), tuple(img))
@@ -148,18 +163,40 @@ def canonicalize(pairs, alphabet: Alphabet) -> VnElement:
 
     Merges caret pairs: whenever all n children u.1..u.n are domain words
     with images v.1..v.n for a common v, the n rows collapse to u -> v.
-    The rows are sorted by domain word and reduced in one stack pass (see
-    ``_canonical``).  The rewriting is confluent, so the result does not
-    depend on the merge order; ``test_canonicalize_ignores_merge_order``
-    checks this against a restart-after-every-merge oracle on shuffled,
-    refined tables.
+    The table is checked first, as ``PartitionSet.from_words`` checks a
+    domain and ``make_element`` checks images: a repeated domain word
+    (``NotABijectionError``), letters above the degree
+    (``MalformedWordError``, domain words in sorted order first), a
+    domain that is no partition set (``NotAPartitionError``), and images
+    that are not distinct or no partition set (``NotABijectionError``).
+    The rows are then sorted by domain word and reduced in one stack
+    pass (see ``_canonical``).  The rewriting is confluent, so the result
+    does not depend on the merge order;
+    ``test_canonicalize_ignores_merge_order`` checks this against a
+    restart-after-every-merge oracle on shuffled, refined tables.
     """
     table: dict[Letters, Letters] = {}
     for w, v in pairs:
         if w.letters in table:
             raise NotABijectionError(f"duplicate domain word {w}")
         table[w.letters] = v.letters
-    return _canonical(sorted(table.items()), alphabet)
+    rows = sorted(table.items())
+    dom = [w for w, _ in rows]
+    _check_degree(dom, alphabet.degree)
+    _check_antichain(dom, alphabet.degree)
+    _check_images([v for _, v in rows], alphabet.degree)
+    return _canonical(rows, alphabet)
+
+
+def _check_images(letters: list[Letters], degree: int) -> None:
+    """Raise unless the images, listed in domain order, are distinct, lie
+    within the degree and form a partition set; the first failure in that
+    order is reported, and a bad letter at its first image."""
+    image_set = set(letters)
+    if len(image_set) != len(letters):
+        raise NotABijectionError("image words are not distinct")
+    _check_degree(letters, degree)
+    _check_image_partition(image_set, degree)
 
 
 def _check_image_partition(images: set[tuple], degree: int) -> None:
@@ -182,12 +219,9 @@ def make_element(domain: PartitionSet, images) -> VnElement:
     if len(images) != len(domain):
         raise ArityError(f"{len(domain)} domain words but {len(images)} images")
     letters = [v.letters for v in images]
-    image_set = set(letters)
-    if len(image_set) != len(letters):
-        raise NotABijectionError("image words are not distinct")
-    _check_degree(letters, domain.alphabet.degree)
-    _check_image_partition(image_set, domain.alphabet.degree)
-    return canonicalize(zip(domain.words, images), domain.alphabet)
+    _check_images(letters, domain.alphabet.degree)
+    # The domain words are stored sorted, so the rows are in domain order.
+    return _canonical(zip([w.letters for w in domain.words], letters), domain.alphabet)
 
 
 def _require_same_alphabet(g: VnElement, h: VnElement) -> None:
@@ -233,25 +267,27 @@ def invert(g: VnElement) -> VnElement:
     return VnElement(g.alphabet, tuple([v for v, _ in flipped]), tuple([w for _, w in flipped]))
 
 
-# Letters (domain plus image words) that the tables built by the loop of
-# one ``power`` or ``order_bounded`` call may hold in total.  t^k holds
-# about k * k letters, so without a bound t^100000, or the order of t up
-# to 10^8, runs for hours.  The largest total that the tests and the
-# benchmark workloads reach is 15,456 letters; t^3000 takes 15.8 M.  A
-# table is counted once built, so the last one may pass the budget:
-# t^100000 stops after building t^4096 (16.8 M letters, about 1 s).
+# Letters (domain plus image words) that the tables built by one request
+# may hold in total: the loop of one ``power`` or ``order_bounded`` call,
+# or one expression evaluation.  t^k holds about k * k letters, so
+# without a bound t^100000, the order of t up to 10^8, or a product of
+# large powers runs for hours or fills memory.  The largest total that
+# the tests and the benchmark workloads reach is 15,456 letters (2,000
+# for one evaluation); t^3000 takes 15.8 M.  A table is counted once
+# built, so the last one may pass the budget: t^100000 stops after
+# building t^4096 (16.8 M letters, about 1 s).
 _WORK_BUDGET = 20_000_000
 
 
-def _spend(budget: int, g: VnElement, what: str) -> int:
-    """The budget left after building g; raise once it is used up."""
-    budget -= sum(map(len, g.dom)) + sum(map(len, g.img))
-    if budget < 0:
+def _spend(spent: int, g: VnElement, what: str) -> int:
+    """The letters spent once g is built; raise once they pass the budget."""
+    spent += sum(map(len, g.dom)) + sum(map(len, g.img))
+    if spent > _WORK_BUDGET:
         raise BudgetExceededError(
             f"{what} stopped: its tables passed the work budget of "
             f"{_WORK_BUDGET} letters"
         )
-    return budget
+    return spent
 
 
 def power(g: VnElement, k: int) -> VnElement:
@@ -259,15 +295,15 @@ def power(g: VnElement, k: int) -> VnElement:
     if k < 0:
         return power(invert(g), -k)
     acc = identity(g.alphabet)
-    budget = _WORK_BUDGET
+    spent = 0
     while k:
         if k & 1:
             acc = compose(acc, g)
-            budget = _spend(budget, acc, "power")
+            spent = _spend(spent, acc, "power")
         k >>= 1
         if k:
             g = compose(g, g)
-            budget = _spend(budget, g, "power")
+            spent = _spend(spent, g, "power")
     return acc
 
 
@@ -331,12 +367,12 @@ def order_bounded(g: VnElement, bound: int = 64) -> int | None:
     if bound < 1:
         raise ParameterRangeError("bound must be >= 1")
     acc = g
-    budget = _WORK_BUDGET
+    spent = 0
     for k in range(1, bound + 1):
         if acc.is_identity():
             return k
         acc = compose(acc, g)
-        budget = _spend(budget, acc, "order")
+        spent = _spend(spent, acc, "order")
     return None
 
 

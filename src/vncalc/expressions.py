@@ -36,6 +36,7 @@ from .constructions import (
 )
 from .element import (
     VnElement,
+    _spend,
     commutator,
     compose,
     conjugate,
@@ -335,37 +336,60 @@ def _default_env(alphabet: Alphabet) -> EvalEnv:
 
 
 def eval_expression(expr: Expr, env: EvalEnv) -> VnElement:
-    if isinstance(expr, NameRef):
-        return env.lookup(expr.name)
-    if isinstance(expr, Product):
-        out = eval_expression(expr.factors[0], env)
-        for factor in expr.factors[1:]:
-            out = compose(out, eval_expression(factor, env))
-        return out
-    if isinstance(expr, Power):
-        return power(eval_expression(expr.base, env), expr.exponent)
-    if isinstance(expr, Conjugation):
-        return conjugate(eval_expression(expr.base, env), eval_expression(expr.by, env))
-    if isinstance(expr, CommutatorExpr):
-        return commutator(eval_expression(expr.left, env), eval_expression(expr.right, env))
-    if isinstance(expr, DotLift):
-        try:
-            perm = Permutation.from_cycles(expr.cycles, env.alphabet.degree)
-        except ValueError as exc:
-            raise ExpressionError(str(exc)) from exc
-        return dot(perm, env.alphabet)
-    if isinstance(expr, EmbedExpr):
-        check_letters(expr.cone, env.alphabet)
-        return embed(expr.cone, eval_expression(expr.inner, env))
-    if isinstance(expr, SpinalFromFile):
-        plan = load_alpha_plan(expr.path)
-        if plan.alphabet != env.alphabet:
-            raise ExpressionError(
-                f"plan degree {plan.alphabet.degree} differs from session degree "
-                f"{env.alphabet.degree}"
-            )
-        return make_s_alpha(plan)
-    raise ExpressionError(f"cannot evaluate node {expr!r}")
+    """The element that expr names under env.
+
+    The tables that products, powers, conjugations and commutators build
+    are charged to one running total for the whole evaluation, so a
+    product of large powers cannot pass the work budget that bounds one
+    ``power`` call: past it the evaluation raises ``BudgetExceededError``.
+    """
+    return _Evaluation(env).value(expr)
+
+
+class _Evaluation:
+    """One evaluation: the env and the letters its built tables hold so far."""
+
+    def __init__(self, env: EvalEnv):
+        self.env = env
+        self.spent = 0
+
+    def charge(self, g: VnElement) -> VnElement:
+        self.spent = _spend(self.spent, g, "evaluation")
+        return g
+
+    def value(self, expr: Expr) -> VnElement:
+        env = self.env
+        if isinstance(expr, NameRef):
+            return env.lookup(expr.name)
+        if isinstance(expr, Product):
+            out = self.value(expr.factors[0])
+            for factor in expr.factors[1:]:
+                out = self.charge(compose(out, self.value(factor)))
+            return out
+        if isinstance(expr, Power):
+            return self.charge(power(self.value(expr.base), expr.exponent))
+        if isinstance(expr, Conjugation):
+            return self.charge(conjugate(self.value(expr.base), self.value(expr.by)))
+        if isinstance(expr, CommutatorExpr):
+            return self.charge(commutator(self.value(expr.left), self.value(expr.right)))
+        if isinstance(expr, DotLift):
+            try:
+                perm = Permutation.from_cycles(expr.cycles, env.alphabet.degree)
+            except ValueError as exc:
+                raise ExpressionError(str(exc)) from exc
+            return dot(perm, env.alphabet)
+        if isinstance(expr, EmbedExpr):
+            check_letters(expr.cone, env.alphabet)
+            return embed(expr.cone, self.value(expr.inner))
+        if isinstance(expr, SpinalFromFile):
+            plan = load_alpha_plan(expr.path)
+            if plan.alphabet != env.alphabet:
+                raise ExpressionError(
+                    f"plan degree {plan.alphabet.degree} differs from session degree "
+                    f"{env.alphabet.degree}"
+                )
+            return make_s_alpha(plan)
+        raise ExpressionError(f"cannot evaluate node {expr!r}")
 
 
 _ATOMIC = (NameRef, CommutatorExpr, DotLift, EmbedExpr, SpinalFromFile)

@@ -9,8 +9,8 @@ prefix-scan product and restart-after-every-merge reduction, kept as the
 reference for the bisect-and-stack kernel in ``vncalc.element``.
 ``naive_embed`` is the original embedding, which hands the cone rows and
 the fixed sibling rows to ``naive_canonicalize`` in no particular order,
-kept as the reference for the sorted-row ``embed`` in
-``vncalc.constructions``.  ``naive_random_leaves`` is the original
+kept as the reference for ``embed`` in ``vncalc.constructions``, which
+builds its canonical table directly.  ``naive_random_leaves`` is the original
 random partition loop, which re-sorts the leaves on every expansion.
 ``naive_apply_word`` is the original linear scan over an element's rows,
 kept as the reference for the bisect lookup of ``apply_word`` and

@@ -218,6 +218,8 @@ def test_missing_file_is_reported(capsys):
         ("eval", "-n", "1", "-e", "sigma"),
         ("verify", "all", "-n", "1"),
         ("sidon", "--count", "-1"),
+        ("sidon", "--count", "100000000"),
+        ("sidon", "--count", "3000", "--strategy", "powers-of-two"),
         ("order", "-n", "2", "-e", "sigma", "--bound", "0"),
     ],
 )
@@ -288,8 +290,11 @@ def test_verify_with_no_checks_fails(capsys):
     [
         (("eval", "-n", "2", "-e", "t^100000"), "power stopped"),
         (("order", "-n", "2", "-e", "t", "--bound", "100000000"), "order stopped"),
+        # Each power stays under the budget, but the evaluation as a whole
+        # builds t^60 twice and then t^120: 3,904 + 3,904 + 15,004 letters.
+        (("eval", "-n", "2", "-e", "t^60*t^60"), "evaluation stopped"),
     ],
-    ids=["power", "order"],
+    ids=["power", "order", "product-of-powers"],
 )
 def test_oversized_request_is_reported(monkeypatch, capsys, argv, message):
     monkeypatch.setattr(element, "_WORK_BUDGET", 10_000)

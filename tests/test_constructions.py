@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import W, naive_embed
 from vncalc.constructions import (
+    MAX_SIDON_COUNT,
     AlphaPlan,
     Permutation,
     SidonSet,
@@ -26,6 +27,7 @@ from vncalc.constructions import (
     sigma_dot,
 )
 from vncalc.element import (
+    _canonical,
     apply_point,
     apply_word,
     canonicalize,
@@ -41,7 +43,7 @@ from vncalc.element import (
     support,
 )
 from vncalc.element import ConeKind
-from vncalc.errors import InvolutionRequiredError, PlanInvariantError
+from vncalc.errors import InvolutionRequiredError, ParameterRangeError, PlanInvariantError
 from vncalc.verify import _shifted_spinal
 from vncalc.words import Alphabet, PartitionSet, Word, point_normalize
 
@@ -216,7 +218,11 @@ def embeddings(draw):
 @given(embeddings())
 def test_embed_matches_naive_oracle(case):
     w, g = case
-    assert format_element(embed(w, g)) == format_element(naive_embed(w, g))
+    e, expected = embed(w, g), naive_embed(w, g)
+    assert e == expected
+    assert format_element(e) == format_element(expected)
+    # embed builds its table without the reducer: it must be reduced already.
+    assert _canonical(zip(e.dom, e.img), e.alphabet) == e
 
 
 def test_embed_support_stays_in_cone():
@@ -318,21 +324,43 @@ def test_sidon_powers_of_two():
     assert sidon_generate(3, "powers-of-two").sorted_members == (2, 4, 8)
 
 
-def test_sidon_greedy_matches_sum_oracle():
-    # Independent oracle: distinct differences is the same as distinct
-    # pairwise sums with repetition; grow greedily under the sum rule.
+def sidon_by_sums(count: int) -> list[int]:
+    """Independent oracle: distinct differences is the same as distinct
+    pairwise sums with repetition; grow greedily under the sum rule."""
     chosen: list[int] = []
     sums: set[int] = set()
     candidate = 1
-    while len(chosen) < 6:
+    while len(chosen) < count:
         new_sums = {candidate + x for x in chosen} | {2 * candidate}
         if len(new_sums) == len(chosen) + 1 and not (new_sums & sums):
             chosen.append(candidate)
             sums |= new_sums
         candidate += 1
+    return chosen
+
+
+def test_sidon_greedy_matches_sum_oracle():
+    chosen = sidon_by_sums(6)
     assert tuple(chosen) == (1, 2, 4, 8, 13, 21)
     assert sidon_generate(4, "greedy").sorted_members == (1, 2, 4, 8)
     assert sidon_generate(6, "greedy").sorted_members == tuple(chosen)
+
+
+def test_sidon_greedy_first_30_members():
+    # The Mian-Chowla sequence, OEIS A005282.
+    first_30 = (
+        1, 2, 4, 8, 13, 21, 31, 45, 66, 81, 97, 123, 148, 182, 204,
+        252, 290, 361, 401, 475, 565, 593, 662, 775, 822, 916, 970, 1016, 1159, 1312,
+    )
+    assert tuple(sidon_by_sums(30)) == first_30
+    assert sidon_generate(30, "greedy").sorted_members == first_30
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "powers-of-two"])
+def test_sidon_count_is_capped(strategy):
+    assert len(sidon_generate(MAX_SIDON_COUNT, strategy).members) == MAX_SIDON_COUNT
+    with pytest.raises(ParameterRangeError, match=f"count must be <= {MAX_SIDON_COUNT}"):
+        sidon_generate(MAX_SIDON_COUNT + 1, strategy)
 
 
 def test_sidon_empty():

@@ -46,7 +46,9 @@ from vncalc.errors import (
     ArityError,
     BudgetExceededError,
     FileFormatError,
+    MalformedWordError,
     NotABijectionError,
+    NotAPartitionError,
     SignUndefinedError,
     WordTooShortError,
 )
@@ -129,6 +131,26 @@ def test_make_element_bad_images():
 def test_canonicalize_merges_coherent_children():
     g = canonicalize([(W("1.1"), W("2.1")), (W("1.2"), W("2.2")), (W("2"), W("1"))], A2)
     assert g == elt(A2, {"1": "2", "2": "1"})
+
+
+@pytest.mark.parametrize(
+    "table, error, message",
+    [
+        ({"1": "2"}, NotAPartitionError, "cone measures sum to 1/2, expected 1"),
+        ({"1": "1", "1.2": "2"}, NotAPartitionError, "1 is a proper prefix of 1.2"),
+        ({"1": "1", "3": "2"}, MalformedWordError, "letter 3 of word 3 exceeds"),
+        ({"1": "1", "2": "1"}, NotABijectionError, "image words are not distinct"),
+        ({"1": "1", "2": "3"}, MalformedWordError, "letter 3 of word 3 exceeds"),
+        ({"1": "1.1", "2": "2"}, NotABijectionError, "images are not a partition set"),
+    ],
+    ids=["domain-short", "domain-prefix", "domain-letter", "image-repeat",
+         "image-letter", "image-short"],
+)
+def test_canonicalize_checks_its_table(table, error, message):
+    # The reducer relies on a partition-set domain; an unchecked table
+    # such as 1 -> 2 came back as an element that composed to no rows.
+    with pytest.raises(error, match=message):
+        canonicalize([(W(w), W(v)) for w, v in table.items()], A2)
 
 
 @pytest.mark.parametrize(
@@ -372,6 +394,49 @@ def test_canonical_matches_naive_oracle(case):
     assert format_element(_canonical(rows, alphabet)) == format_element(
         naive_canonicalize(pairs, alphabet)
     )
+
+
+@st.composite
+def split_sibling_tables(draw):
+    """Sorted tables where a caret's image test passes but a sibling is split.
+
+    Under the cone at u, sibling u.j (j < n) is split into its n children.
+    The n - 1 rows just before u.n map to b.1..b.(n-1) and u.n maps to
+    b.n, so the n - 1 images on top of the reducer's stack are those of a
+    mergeable caret while the domain rows under them are not u.1..u.(n-1).
+    The other n - 1 rows map onto the siblings of b, so the images form a
+    partition set; the table sits at a random cone u with every sibling
+    off the path fixed, and random rows are then refined, which the
+    reducer must undo first.
+    """
+    n = draw(st.sampled_from((2, 3, 5)))
+    alphabet = Alphabet(n)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    j = draw(st.integers(1, n - 1))
+    b = draw(st.integers(1, n))
+    core = [(i,) for i in range(1, j)] + [(j, c) for c in range(1, n + 1)]
+    core += [(i,) for i in range(j + 1, n)]
+    others = [(c,) for c in alphabet.letters if c != b]
+    rng.shuffle(others)
+    images = others + [(b, i) for i in range(1, n)]
+    rows = list(zip(core, images)) + [((n,), (b, n))]
+    u = tuple(rng.randint(1, n) for _ in range(draw(st.integers(0, 4))))
+    pairs = [(Word(u + w), Word(u + v)) for w, v in rows]
+    for k, a in enumerate(u):
+        pairs += [(Word(u[:k] + (c,)),) * 2 for c in alphabet.letters if c != a]
+    for _ in range(draw(st.integers(0, 6))):
+        pairs = refine_pairs(pairs, rng.choice(pairs)[0], alphabet)
+    return alphabet, sorted(pairs)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(split_sibling_tables())
+def test_canonical_needs_unsplit_siblings(case):
+    alphabet, pairs = case
+    rows = [(w.letters, v.letters) for w, v in pairs]
+    expected = naive_canonicalize(pairs, alphabet)
+    assert format_element(_canonical(rows, alphabet)) == format_element(expected)
+    assert canonicalize(pairs, alphabet) == expected
 
 
 @pytest.mark.parametrize(

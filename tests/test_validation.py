@@ -35,6 +35,7 @@ from vncalc.constructions import (
     sigma_dot,
 )
 from vncalc.element import (
+    canonicalize,
     compose,
     format_element,
     make_element,
@@ -46,6 +47,7 @@ from vncalc.errors import (
     FileFormatError,
     LevelTooSmallError,
     MalformedWordError,
+    NotABijectionError,
     ParameterRangeError,
     VnError,
 )
@@ -159,6 +161,39 @@ def test_parsers_match_naive_oracle_on_corrupted_tables(table, kinds):
     dom = PartitionSet.from_words([Word(w) for w, _ in valid], Alphabet(degree))
     images = [word_text(v) for _, v in rows]
     assert outcome(make_element, dom, images) == outcome(naive_make_element, dom, images)
+
+
+def checked_canonicalize_oracle(pairs, alphabet: Alphabet):
+    """The checks ``canonicalize`` owes a raw table, from the naive ones:
+    a repeated domain word, then the domain as ``naive_from_words`` checks
+    it, then the images as ``naive_make_element`` checks them."""
+    seen = set()
+    for w, _ in pairs:
+        if w in seen:
+            raise NotABijectionError(f"duplicate domain word {w}")
+        seen.add(w)
+    dom = naive_from_words([w for w, _ in pairs], alphabet)
+    image_of = dict(pairs)
+    return naive_make_element(dom, [image_of[w] for w in dom.words])
+
+
+# "letter 0" is left out: a Word cannot hold it, so it never reaches
+# canonicalize.
+WORD_KINDS = [k for k in KINDS if k != "letter 0"]
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(element_rows(), st.lists(st.sampled_from(WORD_KINDS), max_size=3))
+def test_canonicalize_checks_like_the_naive_constructors(table, kinds):
+    # With no defect the table is valid and both sides reduce it.
+    degree, rows, rng = table
+    for kind in kinds:
+        rows = corrupt(degree, rows, kind, rng)
+    alphabet = Alphabet(degree)
+    pairs = [(Word(w), Word(v)) for w, v in rows]
+    expected = outcome(checked_canonicalize_oracle, pairs, alphabet)
+    assert (expected[0] == "ok") == (not kinds)
+    assert outcome(canonicalize, pairs, alphabet) == expected
 
 
 @st.composite
