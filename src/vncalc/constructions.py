@@ -24,6 +24,7 @@ from .errors import (
 from .element import (
     VnElement,
     _canonical,
+    _table_letters,
     commutator,
     compose,
     conjugate,
@@ -160,6 +161,19 @@ def embed(w: Word, g: VnElement) -> VnElement:
         (*left, *[cone + u for u in g.dom], *right),
         (*left, *[cone + v for v in g.img], *right),
     )
+
+
+def _embed_letters(w: Word, g: VnElement) -> int:
+    """The letters of ``embed(w, g)``'s table, known before it is built.
+
+    Each side holds, for the k-th letter of w, n - 1 fixed siblings of
+    k letters, so (n - 1) * L * (L + 1) / 2 letters for a word of L
+    letters, plus g's rows with w put in front.
+    """
+    if g.is_identity():
+        return 0
+    n, cone = g.alphabet.degree, len(w)
+    return (n - 1) * cone * (cone + 1) + 2 * cone * len(g.dom) + _table_letters(g)
 
 
 def spine_cone(k: int) -> Word:

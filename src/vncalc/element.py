@@ -10,6 +10,7 @@ correctly.
 
 from __future__ import annotations
 
+import functools
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -29,6 +30,8 @@ from .errors import (
     WordTooShortError,
 )
 from .words import (
+    _MEMO_LETTERS,
+    _MEMO_SIZE,
     Alphabet,
     PartitionSet,
     RationalPoint,
@@ -201,7 +204,7 @@ def _check_images(letters: list[Letters], degree: int) -> None:
 
 def _check_image_partition(images: set[tuple], degree: int) -> None:
     try:
-        _check_antichain(sorted(images), degree)
+        _checked_partition(tuple(sorted(images)), degree)
     except NotAPartitionError as exc:
         raise NotABijectionError(f"images are not a partition set: {exc}") from exc
 
@@ -275,13 +278,18 @@ def invert(g: VnElement) -> VnElement:
 # the tests and the benchmark workloads reach is 15,456 letters (2,000
 # for one evaluation); t^3000 takes 15.8 M.  A table is counted once
 # built, so the last one may pass the budget: t^100000 stops after
-# building t^4096 (16.8 M letters, about 1 s).
+# building t^4096 (16.8 M letters, about 1 s).  An evaluation charges an
+# ``embed`` before building it, from the size its table will have.
 _WORK_BUDGET = 20_000_000
 
 
-def _spend(spent: int, g: VnElement, what: str) -> int:
-    """The letters spent once g is built; raise once they pass the budget."""
-    spent += sum(map(len, g.dom)) + sum(map(len, g.img))
+def _table_letters(g: VnElement) -> int:
+    return sum(map(len, g.dom)) + sum(map(len, g.img))
+
+
+def _spend(spent: int, letters: int, what: str) -> int:
+    """The letters spent once ``letters`` more are built; raise once they pass the budget."""
+    spent += letters
     if spent > _WORK_BUDGET:
         raise BudgetExceededError(
             f"{what} stopped: its tables passed the work budget of "
@@ -299,11 +307,11 @@ def power(g: VnElement, k: int) -> VnElement:
     while k:
         if k & 1:
             acc = compose(acc, g)
-            spent = _spend(spent, acc, "power")
+            spent = _spend(spent, _table_letters(acc), "power")
         k >>= 1
         if k:
             g = compose(g, g)
-            spent = _spend(spent, g, "power")
+            spent = _spend(spent, _table_letters(g), "power")
     return acc
 
 
@@ -372,7 +380,7 @@ def order_bounded(g: VnElement, bound: int = 64) -> int | None:
         if acc.is_identity():
             return k
         acc = compose(acc, g)
-        spent = _spend(spent, acc, "order")
+        spent = _spend(spent, _table_letters(acc), "order")
     return None
 
 
@@ -541,16 +549,80 @@ def format_element(g: VnElement) -> str:
     return "\n".join(lines)
 
 
+# parse_element checks each distinct row text and each distinct partition
+# set once per process: a ball file repeats a few thousand distinct rows
+# over a hundred thousand lines, and a few thousand distinct domains, which
+# recur as its image sets.  Each memo keeps at most _MEMO_SIZE entries.  A
+# row text of more than 2 * _MEMO_LETTERS characters, and a partition set
+# of more than _MEMO_WORDS words, are checked directly, so the memos keep
+# no large table.  A partition set holding a word of L letters has at
+# least L + 1 words, so no memoized set holds a word past _MEMO_LETTERS.
+_MEMO_WORDS = _MEMO_LETTERS
+
+
+def _row(text: str) -> tuple[Letters, Letters, int] | None:
+    """(domain letters, image letters, largest letter) of ``<word> -> <word>``
+    with plain words of letters >= 1, or None for any other text."""
+    left, _, right = text.partition("->")
+    w, v = _plain_letters(left), _plain_letters(right)
+    if w is None or v is None or min(w) < 1 or min(v) < 1:
+        return None
+    return w, v, max(max(w), max(v))
+
+
+_memo_row = functools.lru_cache(maxsize=_MEMO_SIZE)(_row)
+
+
+def _partition(
+    words: tuple[Letters, ...], degree: int
+) -> tuple[tuple[Letters, ...], tuple[int, ...]]:
+    """``words`` once they pass as a partition set, and the index of u.1 for
+    every caret u whose n children all lie in it.
+
+    In a sorted partition set with u.1 at index k and u.n at index
+    k + n - 1, the n - 2 words between them cover the cones u.2..u.(n-1),
+    and a split cone would need n words, so they are those children.
+    """
+    _check_antichain(words, degree)
+    last = degree - 1
+    carets = tuple(
+        k
+        for k, w in enumerate(words[: len(words) - last])
+        if w[-1:] == (1,) and words[k + last] == w[:-1] + (degree,)
+    )
+    return words, carets
+
+
+_memo_partition = functools.lru_cache(maxsize=_MEMO_SIZE)(_partition)
+
+
+def _checked_partition(
+    words: tuple[Letters, ...], degree: int
+) -> tuple[tuple[Letters, ...], tuple[int, ...]]:
+    """``_partition`` of sorted, distinct letter tuples within the degree;
+    ``NotAPartitionError`` if they form no partition set.  A memo hit
+    returns the equal tuple the memo stored, so callers can share it; a
+    failure is not memoized."""
+    if len(words) > _MEMO_WORDS:
+        return _partition(words, degree)
+    return _memo_partition(words, degree)
+
+
 def parse_element(text: str) -> VnElement:
     """Parse the text form; non-canonical tables are accepted and reduced.
 
-    Every row is parsed straight into letter tuples (each distinct short
-    word text once per process, see ``words._plain_letters``) and checked
-    against the alphabet (``FileFormatError`` with its line number).  The
+    Each distinct row text is parsed once per process into letter tuples
+    and its largest letter, so checking a row against the alphabet is one
+    comparison; ``eps`` and every defect go through the word parser for
+    its exact error (``FileFormatError`` with its line number).  The
     domain must then form a partition set without repeats
     (``FileFormatError``), and the images must be distinct and form a
-    partition set (``NotABijectionError``).  The checked table is reduced
-    and wrapped without validating its words again.
+    partition set (``NotABijectionError``); each distinct partition set is
+    checked once per process.  The checked table is reduced and wrapped
+    without validating its words again: the domain memo keeps the carets
+    whose children are all domain words, so a canonical table, such as
+    every table a ball file holds, is recognised without the reducer and
+    keeps the memo's domain tuple; elements with equal domains share one.
     """
     lines = [(i, ln) for i, raw in enumerate(text.splitlines(), 1) if (ln := raw.strip())]
     if not lines:
@@ -564,34 +636,36 @@ def parse_element(text: str) -> VnElement:
     except ValueError as exc:
         raise FileFormatError(str(exc), lineno) from exc
     degree = alphabet.degree
-    in_alphabet = frozenset(alphabet.letters)
-    rows = []
+    table: dict[Letters, Letters] = {}
     for lineno, ln in lines[1:]:
+        row = _row(ln) if len(ln) > 2 * _MEMO_LETTERS else _memo_row(ln)
+        if row is not None and row[2] <= degree:
+            table[row[0]] = row[1]
+            continue
         if "->" not in ln:
             raise FileFormatError(f"expected '<word> -> <word>', got {ln!r}", lineno)
         left, right = ln.split("->", 1)
-        # A row of plain letters in 1..degree is taken as it stands; "eps"
-        # and every defect go through the word parser for its exact error.
-        # The letter check stays per row: a text's letters are memoized,
-        # but whether they fit depends on this element's degree.
-        w, v = _plain_letters(left), _plain_letters(right)
-        if not (w and v and in_alphabet.issuperset(w) and in_alphabet.issuperset(v)):
-            try:
-                w, v = _parse_letters(left), _parse_letters(right)
-                _check_degree((w, v), degree)
-            except VnError as exc:
-                raise FileFormatError(str(exc), lineno) from exc
-        rows.append((w, v))
-    table = dict(rows)
-    dom = sorted(table)
+        try:
+            w, v = _parse_letters(left), _parse_letters(right)
+            _check_degree((w, v), degree)
+        except VnError as exc:
+            raise FileFormatError(str(exc), lineno) from exc
+        table[w] = v
     try:
-        _check_antichain(dom, degree)
+        dom, carets = _checked_partition(tuple(sorted(table)), degree)
     except NotAPartitionError as exc:
         raise FileFormatError(f"domain is not a partition set: {exc}") from exc
-    if len(table) != len(rows):
+    if len(table) != len(lines) - 1:
         raise FileFormatError("duplicate domain words")
     image_set = set(table.values())
     if len(image_set) != len(table):
         raise NotABijectionError("image words are not distinct")
     _check_image_partition(image_set, degree)
-    return _canonical([(w, table[w]) for w in dom], alphabet)
+    img = [table[w] for w in dom]
+    # The table is canonical, and keeps the memo's domain tuple, unless a
+    # caret whose children are all domain words has images v.1..v.n.
+    for k in carets:
+        v = img[k]
+        if v[-1:] == (1,) and img[k : k + degree] == [v[:-1] + (i,) for i in alphabet.letters]:
+            return _canonical(zip(dom, img), alphabet)
+    return VnElement(alphabet, dom, tuple(img))

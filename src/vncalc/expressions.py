@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .constructions import (
     Permutation,
+    _embed_letters,
     dot,
     embed,
     load_alpha_plan,
@@ -37,6 +38,7 @@ from .constructions import (
 from .element import (
     VnElement,
     _spend,
+    _table_letters,
     commutator,
     compose,
     conjugate,
@@ -338,10 +340,11 @@ def _default_env(alphabet: Alphabet) -> EvalEnv:
 def eval_expression(expr: Expr, env: EvalEnv) -> VnElement:
     """The element that expr names under env.
 
-    The tables that products, powers, conjugations and commutators build
-    are charged to one running total for the whole evaluation, so a
-    product of large powers cannot pass the work budget that bounds one
-    ``power`` call: past it the evaluation raises ``BudgetExceededError``.
+    The tables that products, powers, conjugations, commutators and
+    embeddings build are charged to one running total for the whole
+    evaluation, so a product of large powers cannot pass the work budget
+    that bounds one ``power`` call: past it the evaluation raises
+    ``BudgetExceededError``.  An embedding is charged before it is built.
     """
     return _Evaluation(env).value(expr)
 
@@ -353,8 +356,11 @@ class _Evaluation:
         self.env = env
         self.spent = 0
 
+    def spend(self, letters: int) -> None:
+        self.spent = _spend(self.spent, letters, "evaluation")
+
     def charge(self, g: VnElement) -> VnElement:
-        self.spent = _spend(self.spent, g, "evaluation")
+        self.spend(_table_letters(g))
         return g
 
     def value(self, expr: Expr) -> VnElement:
@@ -380,7 +386,11 @@ class _Evaluation:
             return dot(perm, env.alphabet)
         if isinstance(expr, EmbedExpr):
             check_letters(expr.cone, env.alphabet)
-            return embed(expr.cone, self.value(expr.inner))
+            inner = self.value(expr.inner)
+            # Charged before it is built: the table grows with the square of
+            # the cone word's length.
+            self.spend(_embed_letters(expr.cone, inner))
+            return embed(expr.cone, inner)
         if isinstance(expr, SpinalFromFile):
             plan = load_alpha_plan(expr.path)
             if plan.alphabet != env.alphabet:

@@ -11,6 +11,7 @@ runs.
 from __future__ import annotations
 
 import functools
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -215,10 +216,11 @@ def load_ball(path: str) -> Ball:
     ``gen <name> <file>`` provenance lines, then one block per element (a
     ``word`` line followed by the element's text form), blocks separated
     by blank lines.  Per-radius sizes are recomputed from word lengths.
+    A file that ``save_ball`` cannot write is refused with the line at
+    fault: a negative radius, or an element listed twice.
     """
     with open(path) as fh:
-        raw = fh.read()
-    lines = raw.splitlines()
+        lines = fh.read().splitlines()
     if not lines:
         raise FileFormatError("empty ball file")
     head = lines[0].split()
@@ -233,6 +235,8 @@ def load_ball(path: str) -> Ball:
         raise FileFormatError(str(exc), 1) from exc
     if trunc not in (0, 1):
         raise FileFormatError("truncated flag must be 0 or 1", 1)
+    if radius < 0:
+        raise FileFormatError("radius must be >= 0", 1)
     manifest = []
     pos = 1
     while pos < len(lines) and lines[pos].startswith("gen "):
@@ -242,29 +246,33 @@ def load_ball(path: str) -> Ball:
         manifest.append((fields[1], fields[2]))
         pos += 1
     entries: list[tuple[GenWord, VnElement]] = []
-    while pos < len(lines):
-        if not lines[pos].strip():
-            pos += 1
+    first_line: dict[VnElement, int] = {}
+    # Each block is a run of non-blank lines: a word line, then the element.
+    blank = [i for i in range(pos, len(lines)) if not lines[i].strip()]
+    starts = [pos] + [i + 1 for i in blank]
+    for start, end in zip(starts, blank + [len(lines)]):
+        if start == end:
             continue
-        if lines[pos] != "word" and not lines[pos].startswith("word "):
-            raise FileFormatError(f"expected a 'word' line, got {lines[pos]!r}", pos + 1)
-        word = tuple(lines[pos].split()[1:])
-        word_line = pos + 1
+        if lines[start] != "word" and not lines[start].startswith("word "):
+            raise FileFormatError(f"expected a 'word' line, got {lines[start]!r}", start + 1)
+        # One string per generator token, shared by every word that uses it.
+        word = tuple(map(sys.intern, lines[start].split()[1:]))
+        word_line = start + 1
         if len(word) > radius:
             raise FileFormatError(f"word longer than the ball radius {radius}", word_line)
-        pos += 1
-        block = []
-        while pos < len(lines) and lines[pos].strip():
-            block.append(lines[pos])
-            pos += 1
         try:
-            g = parse_element("\n".join(block))
+            g = parse_element("\n".join(lines[word_line:end]))
         except FileFormatError as exc:
             raise FileFormatError(
                 f"bad element block for word at line {word_line}: {exc}", word_line
             ) from exc
         if g.alphabet != alphabet:
             raise FileFormatError("element degree differs from the header", word_line)
+        first = first_line.setdefault(g, word_line)
+        if first != word_line:
+            raise FileFormatError(
+                f"element already listed for the word at line {first}", word_line
+            )
         entries.append((word, g))
     if len(entries) != count:
         raise FileFormatError(f"header says {count} elements, file has {len(entries)}")

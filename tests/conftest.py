@@ -24,19 +24,23 @@ must accept the same tables and raise the same errors, byte for byte.
 element text writer and tuple parser as they were before the word memos
 of ``vncalc.words``: they convert every word text on every row, and are
 kept as the reference for the memoized ``format_element`` and
-``parse_element``.
+``parse_element``; ``naive_tuple_parse_element`` also checks every
+partition set and runs the reducer on every table.  ``naive_load_ball``
+is the ball reader as it was before, which scans every line of a block
+on its own, kept as the reference for ``load_ball``.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
+from vncalc.constructions import default_base, make_s_alpha, make_tau, plan_alpha, sigma_dot
 from vncalc.element import (
     VnElement,
     _canonical,
-    _check_image_partition,
     _require_same_alphabet,
 )
 from vncalc.errors import (
@@ -49,6 +53,7 @@ from vncalc.errors import (
     VnError,
     WordTooShortError,
 )
+from vncalc.search import Ball, GenWord, GeneratorSet
 from vncalc.words import (
     Alphabet,
     PartitionSet,
@@ -280,7 +285,9 @@ def naive_tuple_parse_element(text: str) -> VnElement:
     """Parse the text form; non-canonical tables are accepted and reduced.
 
     The word texts go through ``naive_parse_word``, which raises the
-    errors of the package's word parser without its memo.
+    errors of the package's word parser without its memo, and the domain
+    and image sets go straight to ``_check_antichain``, without the
+    package's partition memo.
     """
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
     lines = [(i, ln) for i, ln in lines if ln]
@@ -324,8 +331,87 @@ def naive_tuple_parse_element(text: str) -> VnElement:
     image_set = set(table.values())
     if len(image_set) != len(table):
         raise NotABijectionError("image words are not distinct")
-    _check_image_partition(image_set, degree)
+    try:
+        _check_antichain(sorted(image_set), degree)
+    except NotAPartitionError as exc:
+        raise NotABijectionError(f"images are not a partition set: {exc}") from exc
     return _canonical([(w, table[w]) for w in dom], alphabet)
+
+
+def naive_load_ball(path: str) -> Ball:
+    """Parse a ball file back; a lossless inverse of save_ball.
+
+    Element blocks go through ``naive_tuple_parse_element``.
+
+    Layout: a header ``ball <n> <radius> <count> <truncated>``, optional
+    ``gen <name> <file>`` provenance lines, then one block per element (a
+    ``word`` line followed by the element's text form), blocks separated
+    by blank lines.  Per-radius sizes are recomputed from word lengths.
+    """
+    with open(path) as fh:
+        raw = fh.read()
+    lines = raw.splitlines()
+    if not lines:
+        raise FileFormatError("empty ball file")
+    head = lines[0].split()
+    if len(head) != 5 or head[0] != "ball":
+        raise FileFormatError(
+            f"expected 'ball <n> <radius> <count> <truncated>', got {lines[0]!r}", 1
+        )
+    try:
+        alphabet = Alphabet(int(head[1]))
+        radius, count, trunc = int(head[2]), int(head[3]), int(head[4])
+    except ValueError as exc:
+        raise FileFormatError(str(exc), 1) from exc
+    if trunc not in (0, 1):
+        raise FileFormatError("truncated flag must be 0 or 1", 1)
+    manifest = []
+    pos = 1
+    while pos < len(lines) and lines[pos].startswith("gen "):
+        fields = lines[pos].split(maxsplit=2)
+        if len(fields) != 3:
+            raise FileFormatError(f"expected 'gen <name> <file>', got {lines[pos]!r}", pos + 1)
+        manifest.append((fields[1], fields[2]))
+        pos += 1
+    entries: list[tuple[GenWord, VnElement]] = []
+    while pos < len(lines):
+        if not lines[pos].strip():
+            pos += 1
+            continue
+        if lines[pos] != "word" and not lines[pos].startswith("word "):
+            raise FileFormatError(f"expected a 'word' line, got {lines[pos]!r}", pos + 1)
+        word = tuple(lines[pos].split()[1:])
+        word_line = pos + 1
+        if len(word) > radius:
+            raise FileFormatError(f"word longer than the ball radius {radius}", word_line)
+        pos += 1
+        block = []
+        while pos < len(lines) and lines[pos].strip():
+            block.append(lines[pos])
+            pos += 1
+        try:
+            g = naive_tuple_parse_element("\n".join(block))
+        except FileFormatError as exc:
+            raise FileFormatError(
+                f"bad element block for word at line {word_line}: {exc}", word_line
+            ) from exc
+        if g.alphabet != alphabet:
+            raise FileFormatError("element degree differs from the header", word_line)
+        entries.append((word, g))
+    if len(entries) != count:
+        raise FileFormatError(f"header says {count} elements, file has {len(entries)}")
+    lengths = Counter(len(w) for w, _ in entries)
+    sizes = tuple(accumulate(lengths[r] for r in range(radius + 1)))
+    return Ball(alphabet, radius, tuple(entries), sizes, bool(trunc), tuple(manifest))
+
+
+def spinal_gens() -> GeneratorSet:
+    """The generators of the ball-roundtrip workload: sigma, tau and s_alpha at n = 2."""
+    a2 = Alphabet(2)
+    plan = plan_alpha(default_base(a2, 1))
+    return GeneratorSet.from_dict(
+        {"sigma": sigma_dot(a2), "tau": make_tau(a2), "s": make_s_alpha(plan)}
+    )
 
 
 def tree_complete_oracle(word_list, n: int) -> bool:

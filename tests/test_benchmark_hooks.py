@@ -16,10 +16,13 @@ import random
 import types
 from pathlib import Path
 
+from conftest import spinal_gens
+
 import vncalc.cli as cli
 import vncalc.constructions as constructions
 import vncalc.element as element
 import vncalc.expressions as expressions
+import vncalc.search as search
 import vncalc.words as words
 from vncalc.words import Alphabet
 
@@ -74,6 +77,18 @@ def test_benchmark_tracer_records_spans_and_restores_hooks():
         element.parse_element(text)
     assert len(clock.ends) == 2
     assert element.compose is originals[0]
+
+
+def test_ball_load_is_one_step_per_element(tmp_path):
+    """ball-roundtrip's step clock cuts ``load_ball`` at each return from
+    ``parse_element``, so the load must call it once per element block."""
+    ball = search.grow_ball(spinal_gens(), 6)
+    path = str(tmp_path / "ball.txt")
+    search.save_ball(ball, path)
+    with load_tracer().StepClock(("element.parse_element",)) as clock:
+        loaded = search.load_ball(path)
+    assert loaded == ball
+    assert len(clock.ends) == len(ball)
 
 
 def test_benchmark_tracer_still_finds_the_cached_entry_points():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vncalc
-from vncalc import cli, element
+from vncalc import cli, element, expressions
 from vncalc.cli import build_parser, main
 from vncalc.constructions import (
     default_base,
@@ -301,6 +301,38 @@ def test_oversized_request_is_reported(monkeypatch, capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: {message}: its tables passed the work budget of 10000 letters\n"
+
+
+def test_long_embed_is_stopped_before_it_is_built(monkeypatch, capsys):
+    """A cone word of L letters gives embed a table of about L * L letters."""
+
+    def build(*args):
+        raise AssertionError("embed was built")
+
+    monkeypatch.setattr(expressions, "embed", build)
+    cone = ".".join(["1"] * 5000)
+    code, out, err = run(capsys, "eval", "-n", "2", "-e", f"embed({cone}, t)")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: evaluation stopped: its tables passed the work budget of 20000000 letters\n"
+    )
+
+
+def test_embed_is_charged_its_exact_size(monkeypatch, capsys):
+    # 1.1.1 at n = 2: 3 * 4 sibling letters, 2 * 3 * 3 for t's three rows
+    # moved under the cone, and t's own 10 letters.
+    monkeypatch.setattr(element, "_WORK_BUDGET", 40)
+    code, out, _ = run(capsys, "eval", "-n", "2", "-e", "embed(1.1.1, t)")
+    assert code == 0
+    assert out.startswith("vn 2\n")
+    monkeypatch.setattr(element, "_WORK_BUDGET", 39)
+    code, out, err = run(capsys, "eval", "-n", "2", "-e", "embed(1.1.1, t)")
+    assert (code, out) == (1, "")
+    assert err == "error: evaluation stopped: its tables passed the work budget of 39 letters\n"
+    # The identity embeds as the identity, whatever the cone.
+    monkeypatch.setattr(element, "_WORK_BUDGET", 0)
+    code, out, _ = run(capsys, "eval", "-n", "2", "-e", "embed(1.1.1, id)")
+    assert (code, out) == (0, "vn 2\neps -> eps\n")
 
 
 def test_verify_negative_count_is_an_error(capsys):

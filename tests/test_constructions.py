@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import W, naive_embed
 from vncalc.constructions import (
+    _embed_letters,
     MAX_SIDON_COUNT,
     AlphaPlan,
     Permutation,
@@ -28,6 +29,7 @@ from vncalc.constructions import (
 )
 from vncalc.element import (
     _canonical,
+    _table_letters,
     apply_point,
     apply_word,
     canonicalize,
@@ -223,6 +225,14 @@ def test_embed_matches_naive_oracle(case):
     assert format_element(e) == format_element(expected)
     # embed builds its table without the reducer: it must be reduced already.
     assert _canonical(zip(e.dom, e.img), e.alphabet) == e
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(embeddings())
+def test_embed_letters_are_the_built_table_size(case):
+    """An evaluation charges ``_embed_letters`` before it builds the table."""
+    w, g = case
+    assert _embed_letters(w, g) == _table_letters(embed(w, g))
 
 
 def test_embed_support_stays_in_cone():

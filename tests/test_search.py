@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import spinal_gens
 from vncalc.constructions import default_base, make_s_alpha, make_t, make_tau, plan_alpha, sigma_dot
 from vncalc import search
 from vncalc.element import VnElement, compose, format_element, identity, invert
@@ -23,13 +24,6 @@ A2 = Alphabet(2)
 
 def sigma_tau_gens():
     return GeneratorSet.from_dict({"sigma": sigma_dot(A2), "tau": make_tau(A2)})
-
-
-def spinal_gens():
-    plan = plan_alpha(default_base(A2, 1))
-    return GeneratorSet.from_dict(
-        {"sigma": sigma_dot(A2), "tau": make_tau(A2), "s": make_s_alpha(plan)}
-    )
 
 
 def test_generator_set_sorts_and_validates():
@@ -247,6 +241,38 @@ def test_load_ball_checks_count(tmp_path):
     bad.write_text(text)
     with pytest.raises(FileFormatError):
         load_ball(str(bad))
+
+
+def test_load_ball_rejects_negative_radius(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("ball 2 -1 0 0\n")
+    with pytest.raises(FileFormatError) as info:
+        load_ball(str(bad))
+    assert str(info.value) == "line 1: radius must be >= 0"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "ball 2 0 2 0\n\nword\nvn 2\neps -> eps\n\nword\nvn 2\neps -> eps\n",
+            "line 7: element already listed for the word at line 3",
+        ),
+        # The same element in another table form, under another word.
+        (
+            "ball 2 1 2 0\n\nword sigma\nvn 2\n1 -> 2\n2 -> 1\n"
+            "\nword tau\nvn 2\n1.1 -> 2.1\n1.2 -> 2.2\n2 -> 1\n",
+            "line 8: element already listed for the word at line 3",
+        ),
+    ],
+    ids=["identity", "refined-table"],
+)
+def test_load_ball_rejects_repeated_element(tmp_path, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    with pytest.raises(FileFormatError) as info:
+        load_ball(str(bad))
+    assert str(info.value) == message
 
 
 def test_generator_manifest_loading(tmp_path):

@@ -7,8 +7,11 @@ tables are accepted with equal results, and every defect raises the same
 exception class with a byte-identical message.
 """
 
+import functools
 import os
 import random
+import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +19,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     naive_format_element,
+    naive_load_ball,
     naive_from_words,
     naive_make_element,
     naive_parse_element,
     naive_tuple_parse_element,
     outcome,
+    spinal_gens,
 )
 from vncalc.constructions import (
     AlphaPlan,
@@ -29,12 +34,15 @@ from vncalc.constructions import (
     default_base,
     make_s_alpha,
     make_t,
+    make_tau,
     plan_alpha,
     save_alpha_plan,
     sidon_generate,
     sigma_dot,
 )
+import vncalc.element as element_module
 from vncalc.element import (
+    VnElement,
     canonicalize,
     compose,
     format_element,
@@ -51,8 +59,9 @@ from vncalc.errors import (
     ParameterRangeError,
     VnError,
 )
+from vncalc.search import GeneratorSet, grow_ball, load_ball, save_ball
 from vncalc.verify import enumerate_en_group, run_suites, verify_s_alpha_conjugation
-from vncalc.words import Alphabet, PartitionSet, Word, random_partition
+from vncalc.words import _MEMO_LETTERS, Alphabet, PartitionSet, Word, random_partition
 
 
 def word_text(letters) -> str:
@@ -255,6 +264,179 @@ def test_memo_hit_still_checks_the_degree():
     assert outcome(parse_element, "vn 2\n" + rows) == outcome(
         naive_tuple_parse_element, "vn 2\n" + rows
     )
+
+
+def clear_parse_memos():
+    element_module._memo_row.cache_clear()
+    element_module._memo_partition.cache_clear()
+
+
+# Each sequence is parsed in order on empty memos; every text must give
+# the unmemoized parser's result or error, and the listed outcome.
+MEMO_SEQUENCES = {
+    # The domain {1, 2} is complete at n = 2 and not at n = 3.
+    "domain-at-another-degree": [
+        ("vn 2\n1 -> 2\n2 -> 1", "ok"),
+        ("vn 3\n1 -> 2\n2 -> 1", FileFormatError),
+        ("vn 3\n1 -> 2\n2 -> 1\n3 -> 3", "ok"),
+        ("vn 2\n1 -> 2\n2 -> 1\n3 -> 3", FileFormatError),
+    ],
+    # The images {1, 2.1, 2.2} are complete at n = 2 and not at n = 3;
+    # at n = 2 the set was first checked as a domain.
+    "images-at-another-degree": [
+        ("vn 2\n1 -> 1\n2.1 -> 2.1\n2.2 -> 2.2", "ok"),
+        ("vn 3\n1 -> 1\n2 -> 2.1\n3 -> 2.2", NotABijectionError),
+        ("vn 5\n1 -> 1\n2 -> 2\n3 -> 3\n4 -> 4\n5 -> 5", "ok"),
+        ("vn 2\n1 -> 1\n2 -> 2\n3 -> 3\n4 -> 4\n5 -> 5", FileFormatError),
+    ],
+    # Rows and sets first seen in tables that failed, then reused.
+    "seen-in-a-failed-table": [
+        ("vn 2\n1.1 -> 1\n1.2 -> 2.1\n2 -> 2.1", NotABijectionError),
+        ("vn 2\n1.1 -> 1\n1.2 -> 2.1\n2 -> 2.2", "ok"),
+        ("vn 2\n1 -> 1.1\n1 -> 2\n2 -> 1.2", FileFormatError),
+        ("vn 2\n1 -> 1.1\n2 -> 1.2", NotABijectionError),
+        ("vn 2\n1 -> 2\n2 -> 1", "ok"),
+        ("vn 2\n1 -> 1\n2.1 -> 2\neps -> 2.2", FileFormatError),
+        ("vn 2\n1 -> 1\n2.1 -> 2.1\n2.2 -> 2.2", "ok"),
+    ],
+    # A failed check is not memoized: the same set fails again, and the
+    # same rows in a complete table pass.
+    "failure-not-kept": [
+        ("vn 2\n1 -> 1\n2.1 -> 2", FileFormatError),
+        ("vn 2\n1 -> 1\n2.1 -> 2", FileFormatError),
+        ("vn 2\n1 -> 1\n2.1 -> 2\n2.2 -> 2.2", NotABijectionError),
+        ("vn 2\n1 -> 1\n2.1 -> 2.1\n2.2 -> 2.2", "ok"),
+        ("vn 2\n1 -> 1.1\n2 -> 1.2.1", NotABijectionError),
+        ("vn 2\n1 -> 1.1\n2 -> 1.2.1", NotABijectionError),
+    ],
+}
+
+
+@pytest.mark.parametrize("sequence", MEMO_SEQUENCES.values(), ids=MEMO_SEQUENCES)
+def test_parse_memos_match_unmemoized_parser(sequence):
+    clear_parse_memos()
+    for text, expected in sequence:
+        result = outcome(parse_element, text)
+        assert result == outcome(naive_tuple_parse_element, text), text
+        assert result[0] == expected, text
+
+
+def test_parse_memos_keep_no_table_with_long_words():
+    """t^40 holds words of up to 41 letters, and each of its rows has more
+    than 2 * _MEMO_LETTERS characters: it leaves no memo entry."""
+    clear_parse_memos()
+    t = make_t(Alphabet(2))
+    t40 = power(t, 40)
+    text = format_element(t40)
+    assert min(map(len, text.splitlines()[1:])) > 2 * _MEMO_LETTERS
+    assert parse_element(text) == naive_tuple_parse_element(text) == t40
+    assert element_module._memo_row.cache_info().currsize == 0
+    assert element_module._memo_partition.cache_info().currsize == 0
+    # t^3's 5 rows and its domain and image sets are memoized.
+    parse_element(format_element(power(t, 3)))
+    assert element_module._memo_row.cache_info().currsize == 5
+    assert element_module._memo_partition.cache_info().currsize == 2
+
+
+def test_parse_memos_stay_bounded_on_a_ball_larger_than_they_hold(tmp_path):
+    """The radius-14 ball over {sigma, tau, s} at n = 2 has 8,258 distinct
+    rows and 4,246 distinct domains, more than either memo keeps."""
+    ball = grow_ball(spinal_gens(), 14)
+    path = str(tmp_path / "ball.txt")
+    save_ball(ball, path)
+    clear_parse_memos()
+    assert load_ball(path) == ball
+    for memo in (element_module._memo_row, element_module._memo_partition):
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize < info.misses
+
+
+def test_loaded_elements_share_their_domain_tuples(tmp_path):
+    a2 = Alphabet(2)
+    gens = GeneratorSet.from_dict({"sigma": sigma_dot(a2), "tau": make_tau(a2)})
+    ball = grow_ball(gens, 6)
+    path = str(tmp_path / "ball.txt")
+    save_ball(ball, path)
+    loaded = load_ball(path)
+    assert loaded == ball
+    domains = [g.dom for _, g in loaded.entries]
+    assert len({id(d) for d in domains}) == len(set(domains)) < len(domains)
+
+
+@functools.cache
+def saved_ball_text() -> str:
+    manifest = (("s", "s.elt"), ("sigma", "sigma.elt"), ("tau", "tau.elt"))
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "ball.txt")
+        save_ball(grow_ball(spinal_gens(), 3, manifest=manifest), path)
+        with open(path) as fh:
+            return fh.read()
+
+
+LINE_KINDS = ("drop", "duplicate", "blank", "spaces", "swap", "garbage", "header", "repeat")
+GARBAGE_LINES = ("word", "word s", "vn 3", "1 -> 1", "x", "gen a b", "eps -> eps", "2 -> 1.1")
+
+
+@st.composite
+def ball_texts(draw):
+    """A saved radius-3 ball file with up to three line-level corruptions."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lines = saved_ball_text().split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        kind = rng.choice(LINE_KINDS)
+        i = rng.randrange(len(lines))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind in ("blank", "spaces"):
+            lines.insert(i, "" if kind == "blank" else " \t ")
+        elif kind == "swap":
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "garbage":
+            lines[i] = rng.choice(GARBAGE_LINES)
+        elif kind == "header":
+            fields = [rng.choice(("2", "3", "x")), str(rng.randint(-2, 4)), str(rng.randint(0, 30))]
+            lines[0] = "ball " + " ".join(fields) + " " + rng.choice(("0", "1", "2"))
+        else:
+            # Another word for an element already listed, in its own block.
+            start = rng.choice([k for k, ln in enumerate(lines) if ln.startswith("word")])
+            end = start + 1
+            while end < len(lines) and lines[end].strip():
+                end += 1
+            lines += ["", "word s s s", *lines[start + 1 : end]]
+    return "\n".join(lines)
+
+
+def block_element(lines: list[str], word_line: int) -> VnElement:
+    """The element under the word at a 1-based line, read without the package's memos."""
+    end = word_line
+    while end < len(lines) and lines[end].strip():
+        end += 1
+    return naive_tuple_parse_element("\n".join(lines[word_line:end]))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(ball_texts())
+def test_load_ball_matches_line_by_line_reader(tmp_path_factory, text):
+    """Same ball, or same error class, text and line, as the reader that
+    scanned every line of a block; except for the two files that only
+    ``load_ball`` refuses, which are checked to be what it says."""
+    path = tmp_path_factory.mktemp("ball") / "ball.txt"
+    path.write_text(text)
+    result = outcome(load_ball, str(path))
+    lines = text.split("\n")
+    if result[0] is FileFormatError and result[1] == "line 1: radius must be >= 0":
+        assert int(lines[0].split()[2]) < 0
+        return
+    repeated = re.fullmatch(r"line (\d+): element already listed for the word at line (\d+)", str(result[1]))
+    if result[0] is FileFormatError and repeated:
+        later, first = map(int, repeated.groups())
+        assert first < later
+        assert block_element(lines, first) == block_element(lines, later)
+        return
+    assert result == outcome(naive_load_ball, str(path))
 
 
 @st.composite
