@@ -37,7 +37,7 @@ from .errors import VnError
 from .expressions import default_env, eval_expression, parse_expression
 from .render import render_dot
 from .search import find_element, grow_ball, load_generator_manifest, save_ball
-from .verify import run_suites
+from .verify import SUITE_ALIASES, SUITE_BUILDERS, run_suites
 from .words import Alphabet, RationalPoint, Word
 
 
@@ -259,13 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = subs.add_parser("verify", help="run identity-check suites")
-    p.add_argument(
-        "which",
-        choices=[
-            "all", "eq2", "eq3", "trick", "isolation", "involutions",
-            "maximal", "en", "abelianization", "translation", "shift", "commutator",
-        ],
-    )
+    p.add_argument("which", choices=["all", *SUITE_BUILDERS, *SUITE_ALIASES])
     p.add_argument("-n", type=int, action="append", help="degree (repeatable)")
     p.add_argument("--kmax", type=int, default=5)
     p.add_argument("--count", type=int, default=200)

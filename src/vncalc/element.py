@@ -39,7 +39,6 @@ from .words import (
     _check_antichain,
     _check_degree,
     _parse_letters,
-    _plain_letters,
     _random_leaves,
     _text,
     _word,
@@ -560,14 +559,14 @@ def format_element(g: VnElement) -> str:
 _MEMO_WORDS = _MEMO_LETTERS
 
 
-def _row(text: str) -> tuple[Letters, Letters, int] | None:
-    """(domain letters, image letters, largest letter) of ``<word> -> <word>``
-    with plain words of letters >= 1, or None for any other text."""
-    left, _, right = text.partition("->")
-    w, v = _plain_letters(left), _plain_letters(right)
-    if w is None or v is None or min(w) < 1 or min(v) < 1:
-        return None
-    return w, v, max(max(w), max(v))
+def _row(text: str) -> tuple[Letters, Letters, int]:
+    """(domain letters, image letters, largest letter or 0) of
+    ``<word> -> <word>``; the word parser's error for a bad word."""
+    left, arrow, right = text.partition("->")
+    if not arrow:
+        raise FileFormatError(f"expected '<word> -> <word>', got {text!r}")
+    w, v = _parse_letters(left), _parse_letters(right)
+    return w, v, max(w + v, default=0)
 
 
 _memo_row = functools.lru_cache(maxsize=_MEMO_SIZE)(_row)
@@ -613,9 +612,8 @@ def parse_element(text: str) -> VnElement:
 
     Each distinct row text is parsed once per process into letter tuples
     and its largest letter, so checking a row against the alphabet is one
-    comparison; ``eps`` and every defect go through the word parser for
-    its exact error (``FileFormatError`` with its line number).  The
-    domain must then form a partition set without repeats
+    comparison; a defect raises ``FileFormatError`` with its line number.
+    The domain must then form a partition set without repeats
     (``FileFormatError``), and the images must be distinct and form a
     partition set (``NotABijectionError``); each distinct partition set is
     checked once per process.  The checked table is reduced and wrapped
@@ -638,16 +636,10 @@ def parse_element(text: str) -> VnElement:
     degree = alphabet.degree
     table: dict[Letters, Letters] = {}
     for lineno, ln in lines[1:]:
-        row = _row(ln) if len(ln) > 2 * _MEMO_LETTERS else _memo_row(ln)
-        if row is not None and row[2] <= degree:
-            table[row[0]] = row[1]
-            continue
-        if "->" not in ln:
-            raise FileFormatError(f"expected '<word> -> <word>', got {ln!r}", lineno)
-        left, right = ln.split("->", 1)
         try:
-            w, v = _parse_letters(left), _parse_letters(right)
-            _check_degree((w, v), degree)
+            w, v, top = _row(ln) if len(ln) > 2 * _MEMO_LETTERS else _memo_row(ln)
+            if top > degree:
+                _check_degree((w, v), degree)
         except VnError as exc:
             raise FileFormatError(str(exc), lineno) from exc
         table[w] = v

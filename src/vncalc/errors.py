@@ -75,7 +75,7 @@ class FileFormatError(VnError, ValueError):
     """Malformed element, plan, or ball file."""
 
     def __init__(self, message: str, line: int | None = None):
+        self.reason, self.line = message, line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line

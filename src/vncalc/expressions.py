@@ -100,7 +100,7 @@ class SpinalFromFile(Expr):
 # The symbol class includes path characters so bare file arguments like
 # s(plans/p.alpha) tokenize; they are meaningful only inside s(...).
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
     r'|(?P<string>"[^"]*")|(?P<sym>[*^()\[\],.\-/:~]))'
 )
 

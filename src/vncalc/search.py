@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .element import VnElement, compose, format_element, identity, invert, parse_element
-from .errors import AlphabetMismatchError, FileFormatError, ParameterRangeError
+from .errors import AlphabetMismatchError, FileFormatError, ParameterRangeError, VnError
 from .words import Alphabet
 
 GenWord = tuple[str, ...]
@@ -262,9 +262,13 @@ def load_ball(path: str) -> Ball:
             raise FileFormatError(f"word longer than the ball radius {radius}", word_line)
         try:
             g = parse_element("\n".join(lines[word_line:end]))
-        except FileFormatError as exc:
+        except VnError as exc:
+            # The block's line k is file line word_line + k; a defect of the
+            # whole table is reported at the word line.
             raise FileFormatError(
-                f"bad element block for word at line {word_line}: {exc}", word_line
+                f"bad element block for word at line {word_line}: "
+                f"{getattr(exc, 'reason', exc)}",
+                word_line + (getattr(exc, "line", None) or 0),
             ) from exc
         if g.alphabet != alphabet:
             raise FileFormatError("element degree differs from the header", word_line)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -118,13 +119,12 @@ def _word(letters: tuple[int, ...]) -> Word:
     return w
 
 
-# Conversions between a word's letters and its text are memoized: a ball
-# file repeats a few hundred distinct words over a hundred thousand rows.
-# Each memo keeps at most _MEMO_SIZE words, and a word of more than
-# _MEMO_LETTERS letters (a text of more than 2 * _MEMO_LETTERS characters,
-# room for one-digit letters and a space) is converted directly, so a
-# long power such as t^3000 leaves nothing large behind.  Keys compare as
-# tuples, which is why ``Word`` admits only exact ``int`` letters.
+# Converting letters to text is memoized: a ball file repeats a few
+# hundred distinct words over a hundred thousand rows.  The memo keeps at
+# most _MEMO_SIZE words, and a word of more than _MEMO_LETTERS letters is
+# converted directly, so a long power such as t^3000 leaves nothing large
+# behind.  Keys compare as tuples, which is why ``Word`` admits only exact
+# ``int`` letters.  Reading text is memoized per row, in ``element``.
 _MEMO_SIZE = 4096
 _MEMO_LETTERS = 32
 
@@ -143,38 +143,30 @@ def _text(letters: tuple[int, ...]) -> str:
     return _memo_join(letters)
 
 
-def _split(text: str) -> tuple[int, ...] | None:
-    # Built from a list, so the tuple gets its exact size: a tuple grown
-    # from an iterator can keep a larger memory block than it needs.
-    try:
-        return tuple([*map(int, text.split("."))])
-    except ValueError:
-        return None
-
-
-_memo_split = functools.lru_cache(maxsize=_MEMO_SIZE)(_split)
-
-
-def _plain_letters(text: str) -> tuple[int, ...] | None:
-    """Letter tuple of a text of dot-separated integers, or None for any other text.
-
-    ``int`` rules apply to each part, spaces around it included.  Letters
-    are not range-checked, and ``eps`` gives None: callers check both.
-    """
-    if len(text) > 2 * _MEMO_LETTERS:
-        return _split(text)
-    return _memo_split(text)
+# Characters that no letter text holds.  ``int`` also reads "+", "_" and
+# non-ASCII digits, which ``_text`` never writes.
+_FOREIGN = re.compile(r"[^0-9.\s-]").search
 
 
 def _parse_letters(text: str) -> tuple[int, ...]:
-    """Letter tuple of a word's text form, with ``Word.parse``'s checks and errors."""
+    """Letter tuple of a word's text form, with ``Word.parse``'s checks and errors.
+
+    A letter is a run of ASCII digits, the only spelling ``_text`` writes;
+    spaces around a letter or the word are allowed.  A minus sign in front
+    is read too, so that a negative letter fails the range check.
+    """
     text = text.strip()
     if text == "eps":
         return ()
     if not text:
         raise MalformedWordError("empty word text; write 'eps' for the empty word")
-    letters = _plain_letters(text)
-    if letters is None:
+    # Built from a list, so the tuple gets its exact size: a tuple grown
+    # from an iterator can keep a larger memory block than it needs.
+    try:
+        letters = tuple([*map(int, text.split("."))])
+    except ValueError:
+        letters = None
+    if letters is None or _FOREIGN(text):
         raise MalformedWordError(f"bad word syntax {text!r}")
     if min(letters) < 1:
         bad = next(x for x in letters if x < 1)

@@ -27,12 +27,15 @@ kept as the reference for the memoized ``format_element`` and
 ``parse_element``; ``naive_tuple_parse_element`` also checks every
 partition set and runs the reducer on every table.  ``naive_load_ball``
 is the ball reader as it was before, which scans every line of a block
-on its own, kept as the reference for ``load_ball``.
+on its own, kept as the reference for ``load_ball``.  Both word oracles
+read letters through ``naive_letters``, which matches each letter against
+a regular expression of ASCII digits, the only spelling the writer uses.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
@@ -177,19 +180,28 @@ def naive_apply_word(g: VnElement, w: Word) -> Word:
     )
 
 
+def naive_letters(text: str) -> tuple[int, ...]:
+    """Letters of dot-separated runs of ASCII digits, each with optional
+    spaces around it and a minus sign in front; ``ValueError`` for any
+    other text.  ``int`` reads each part, so a space is what it skips: the
+    separators \\x1c-\\x1f count as space for ``str.strip`` but not for it."""
+    parts = text.split(".")
+    if not all(re.fullmatch("-?[0-9]+", part.strip()) for part in parts):
+        raise ValueError(f"not a plain word: {text!r}")
+    return tuple(int(part) for part in parts)
+
+
 def naive_parse_word(text: str) -> Word:
     text = text.strip()
     if text == "eps":
         return Word()
     if not text:
         raise MalformedWordError("empty word text; write 'eps' for the empty word")
-    letters = []
-    for part in text.split("."):
-        try:
-            letters.append(int(part))
-        except ValueError:
-            raise MalformedWordError(f"bad word syntax {text!r}") from None
-    return Word(tuple(letters))
+    try:
+        letters = naive_letters(text)
+    except ValueError:
+        raise MalformedWordError(f"bad word syntax {text!r}") from None
+    return Word(letters)
 
 
 def naive_check_letters(w: Word, alphabet: Alphabet) -> None:
@@ -285,8 +297,8 @@ def naive_tuple_parse_element(text: str) -> VnElement:
     """Parse the text form; non-canonical tables are accepted and reduced.
 
     The word texts go through ``naive_parse_word``, which raises the
-    errors of the package's word parser without its memo, and the domain
-    and image sets go straight to ``_check_antichain``, without the
+    errors of the package's word parser without its row memo, and the
+    domain and image sets go straight to ``_check_antichain``, without the
     package's partition memo.
     """
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
@@ -309,8 +321,7 @@ def naive_tuple_parse_element(text: str) -> VnElement:
             raise FileFormatError(f"expected '<word> -> <word>', got {ln!r}", lineno)
         left, right = ln.split("->", 1)
         try:
-            w = tuple([*map(int, left.split("."))])
-            v = tuple([*map(int, right.split("."))])
+            w, v = naive_letters(left), naive_letters(right)
         except ValueError:
             w = v = None
         if w is None or not (in_alphabet.issuperset(w) and in_alphabet.issuperset(v)):
@@ -341,7 +352,9 @@ def naive_tuple_parse_element(text: str) -> VnElement:
 def naive_load_ball(path: str) -> Ball:
     """Parse a ball file back; a lossless inverse of save_ball.
 
-    Element blocks go through ``naive_tuple_parse_element``.
+    Element blocks go through ``naive_tuple_parse_element``.  Any error
+    in a block names the file line of the row at fault, or the word line
+    for a defect of the whole table.
 
     Layout: a header ``ball <n> <radius> <count> <truncated>``, optional
     ``gen <name> <file>`` provenance lines, then one block per element (a
@@ -390,10 +403,13 @@ def naive_load_ball(path: str) -> Ball:
             block.append(lines[pos])
             pos += 1
         try:
-            g = naive_tuple_parse_element("\n".join(block))
-        except FileFormatError as exc:
+            # Blank lines in front give each row of the block its file line.
+            g = naive_tuple_parse_element("\n" * word_line + "\n".join(block))
+        except VnError as exc:
+            line = getattr(exc, "line", None) or word_line
+            reason = str(exc).removeprefix(f"line {line}: ")
             raise FileFormatError(
-                f"bad element block for word at line {word_line}: {exc}", word_line
+                f"bad element block for word at line {word_line}: {reason}", line
             ) from exc
         if g.alphabet != alphabet:
             raise FileFormatError("element degree differs from the header", word_line)

@@ -7,15 +7,19 @@ functions, so the per-process caches sit behind plain public functions.
 Its counters and the workloads' checks read elements through ``images``
 and ``domain``, which an element builds on demand from its letter rows.
 The benchmark's own self-tests are not part of this suite, so this test
-catches a refactor that moves one of those hooks.  The tracer source is
-only read, never imported as a package module, so nothing is written
-next to it.
+catches a refactor that moves one of those hooks, and its golden-digest
+test runs each workload once on input seed 0 to catch a change of output.
+The tracer and workload sources are only read, never imported as package
+modules, so nothing is written next to them.
 """
 
+import json
 import random
+import sys
 import types
 from pathlib import Path
 
+import pytest
 from conftest import spinal_gens
 
 import vncalc.cli as cli
@@ -26,14 +30,19 @@ import vncalc.search as search
 import vncalc.words as words
 from vncalc.words import Alphabet
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def load_source(path: Path, name: str) -> types.ModuleType:
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def load_tracer() -> types.ModuleType:
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
-    return module
+    return load_source(TRACER, "perfbench_tracer")
 
 
 def test_benchmark_tracer_records_spans_and_restores_hooks():
@@ -140,3 +149,21 @@ def test_benchmark_row_counters_match_the_stored_rows():
     for p in (g, h, product):
         assert len(p.images) == len(p.domain) == len(p.dom)
         assert p.domain.max_depth() == max(map(len, p.dom))
+
+
+@pytest.mark.parametrize(
+    "name", ["verify-grid", "kernel-products", "ball-roundtrip", "cli-session"]
+)
+def test_benchmark_workloads_match_their_golden_digests(monkeypatch, tmp_path, name):
+    """Each workload's output for input seed 0 matches ``golden.json``: the
+    verify lines, product tables, ball file bytes and CLI output are
+    byte-identical to the recorded ones, and the workload's own checks pass."""
+    # The workloads import the tracer as a top-level module, as the
+    # benchmark's worker runs them.
+    monkeypatch.setitem(sys.modules, "tracer", load_tracer())
+    workload = load_source(PERFBENCH / "workloads.py", "perfbench_workloads").WORKLOADS[name]
+    golden = json.loads((PERFBENCH / "golden.json").read_text())[name]["0"]
+    state = workload.setup(0, str(tmp_path))
+    out = workload.run(state)
+    digests, failed, notes = workload.check(state, out, golden)
+    assert (failed, notes) == (0, [])

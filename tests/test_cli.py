@@ -18,6 +18,7 @@ from vncalc.constructions import (
     sigma_dot,
 )
 from vncalc.element import format_element, parse_element
+from vncalc.verify import SUITE_ALIASES, SUITE_BUILDERS
 from vncalc.words import Alphabet
 
 A2 = Alphabet(2)
@@ -333,6 +334,21 @@ def test_embed_is_charged_its_exact_size(monkeypatch, capsys):
     monkeypatch.setattr(element, "_WORK_BUDGET", 0)
     code, out, _ = run(capsys, "eval", "-n", "2", "-e", "embed(1.1.1, id)")
     assert (code, out) == (0, "vn 2\neps -> eps\n")
+
+
+def test_verify_choices_are_the_suite_names():
+    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+    which = next(a for a in verify._actions if a.dest == "which")
+    assert which.choices == ["all", *SUITE_BUILDERS, *SUITE_ALIASES] == [
+        "all", "eq2", "eq3", "trick", "isolation", "involutions",
+        "maximal", "en", "abelianization", "translation", "shift", "commutator",
+    ]
+
+
+def test_non_ascii_digit_in_an_expression_is_an_error(capsys):
+    code, out, err = run(capsys, "eval", "-n", "2", "-e", "sigma^\u0662")
+    assert (code, out) == (1, "")
+    assert err == "error: unexpected character '\u0662' (at position 6)\n"
 
 
 def test_verify_negative_count_is_an_error(capsys):

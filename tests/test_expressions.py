@@ -99,6 +99,17 @@ def test_parse_errors_carry_position():
             parse_expression(bad)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("sigma^\u0662", 6), ("embed(\u0661, sigma)", 6), ("t^\uff13", 2), ("dot((1\u0662))", 6)],
+)
+def test_numbers_are_ascii_digits(text, position):
+    """A non-ASCII digit is an unexpected character, not a number."""
+    with pytest.raises(ExpressionError) as info:
+        parse_expression(text)
+    assert str(info.value) == f"unexpected character {text[position]!r} (at position {position})"
+
+
 def nest_parens(depth):
     return "(" * depth + "t" + ")" * depth
 

@@ -275,6 +275,38 @@ def test_load_ball_rejects_repeated_element(tmp_path, text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        (
+            "vn 2\n1 -> 2\n2 -> x\n",
+            "line 10: bad element block for word at line 7: bad word syntax 'x'",
+        ),
+        (
+            "vn x\n1 -> 2\n2 -> 1\n",
+            "line 8: bad element block for word at line 7: "
+            "invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            "vn 2\n1 -> 2\n2 -> 2\n",
+            "line 7: bad element block for word at line 7: image words are not distinct",
+        ),
+        (
+            "vn 2\n1 -> 2\n",
+            "line 7: bad element block for word at line 7: "
+            "domain is not a partition set: cone measures sum to 1/2, expected 1",
+        ),
+    ],
+    ids=["bad-word", "bad-header", "repeated-images", "incomplete-domain"],
+)
+def test_load_ball_names_the_file_line_of_a_bad_block(tmp_path, block, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("ball 2 1 2 0\n\nword\nvn 2\neps -> eps\n\nword sigma\n" + block)
+    with pytest.raises(FileFormatError) as info:
+        load_ball(str(bad))
+    assert str(info.value) == message
+
+
 def test_generator_manifest_loading(tmp_path):
     (tmp_path / "sig.elt").write_text(format_element(sigma_dot(A2)) + "\n")
     (tmp_path / "tau.elt").write_text(format_element(make_tau(A2)) + "\n")

@@ -266,6 +266,17 @@ def test_memo_hit_still_checks_the_degree():
     )
 
 
+@pytest.mark.parametrize("word", ["1_1", "+2", "\u0661", "1.\uff12"])
+def test_row_letters_are_ascii_digits(word):
+    """A row with a letter that ``int`` reads but the writer never writes
+    is refused at its line, even when the letter lies in the alphabet."""
+    text = f"vn 12\n{word} -> 1\n" + "".join(f"{k} -> {k}\n" for k in range(2, 13))
+    with pytest.raises(FileFormatError) as info:
+        parse_element(text)
+    assert str(info.value) == f"line 2: bad word syntax {word!r}"
+    assert outcome(parse_element, text) == outcome(naive_tuple_parse_element, text)
+
+
 def clear_parse_memos():
     element_module._memo_row.cache_clear()
     element_module._memo_partition.cache_clear()

@@ -27,10 +27,12 @@ from vncalc.element import (
     power,
     random_element,
 )
+from vncalc import verify as verify_module
 from vncalc.errors import NotVolumePreservingError
 from vncalc.verify import (
     AbelianImage,
     abelianization_image,
+    abelianization_suite,
     enumerate_en_group,
     in_maximal_subgroup,
     run_suites,
@@ -286,6 +288,25 @@ def test_abelianization_commutators_trivial():
     for _ in range(50):
         a, b = random_element(A5, rng), random_element(A5, rng)
         assert abelianization_image(commutator(a, b)) is AbelianImage.TRIVIAL
+
+
+def test_abelianization_suite_builds_commutators_only_at_odd_degree(monkeypatch):
+    """At even n every image is trivial, so the suite builds no commutator
+    there; its verdict lines stay the same."""
+    built = []
+
+    def counting_commutator(g, h):
+        built.append(g.alphabet.degree)
+        return commutator(g, h)
+
+    monkeypatch.setattr(verify_module, "commutator", counting_commutator)
+    reports = abelianization_suite((2, 3, 4), count=5)
+    assert [r.line() for r in reports] == [
+        f"abelianization n={n} {what} PASS"
+        for n in (2, 3, 4)
+        for what in ("swap", "commutators x5")
+    ]
+    assert built == [3] * 5
 
 
 def test_abelianization_even_degree_always_trivial():

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     W,
+    naive_parse_word,
     naive_random_leaves,
     outcome,
     refine_oracle,
@@ -25,7 +26,6 @@ from vncalc.words import (
     PartitionSet,
     RationalPoint,
     Word,
-    _plain_letters,
     _random_leaves,
     _text,
     expand_to_level,
@@ -55,25 +55,45 @@ def test_word_parse_rejects_garbage():
             Word.parse(bad)
 
 
+@pytest.mark.parametrize("bad", ["1_1", "+2", "\u0661.2", "2.\uff13", "1.1_0.2"])
+def test_word_letters_are_ascii_digits(bad):
+    """Spellings that ``int`` accepts but the writer never produces are refused."""
+    with pytest.raises(MalformedWordError) as info:
+        Word.parse(bad)
+    assert str(info.value) == f"bad word syntax {bad!r}"
+
+
+def test_word_parse_allows_spaces_around_letters():
+    assert Word.parse(" 1 . 2 ") == Word((1, 2))
+    assert Word.parse("\t10.\u30003 ") == Word((10, 3))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["01.2", "1 .\x1f2", "\xa01", "-3.1", "- 1", "1-2", "1.-0", "1 2", "1.2.", "٣", "1.\u00b2"],
+)
+def test_word_parse_matches_the_regular_expression_oracle(text):
+    assert outcome(Word.parse, text) == outcome(naive_parse_word, text)
+
+
 def test_word_memos_stay_bounded():
-    """Each memo keeps at most _MEMO_SIZE words; longer words skip both memos."""
+    """The join memo keeps at most _MEMO_SIZE words; longer words skip it."""
     size, cap = words_module._MEMO_SIZE, words_module._MEMO_LETTERS
-    memos = (words_module._memo_join, words_module._memo_split)
+    memo = words_module._memo_join
     short = [tuple(int(b) + 1 for b in f"{i:013b}") for i in range(size + 100)]
     for letters in short + short[:100]:
         text = _text(letters)
         assert text == ".".join(map(str, letters))
-        assert _plain_letters(text) == letters
-    assert [m.cache_info().currsize for m in memos] == [size, size]
+        assert Word.parse(text).letters == letters
+    assert memo.cache_info().currsize == size
 
-    misses = [m.cache_info().misses for m in memos]
+    misses = memo.cache_info().misses
     at_cap = (2,) * cap
-    assert _plain_letters(_text(at_cap)) == at_cap
-    assert [m.cache_info().misses for m in memos] == [k + 1 for k in misses]
+    assert Word.parse(_text(at_cap)).letters == at_cap
+    assert memo.cache_info().misses == misses + 1
     past_cap = (2,) * (cap + 1)
-    assert _plain_letters(_text(past_cap)) == past_cap
-    assert _plain_letters(" 2" + ".2" * cap) == past_cap
-    assert [m.cache_info().misses for m in memos] == [k + 1 for k in misses]
+    assert Word.parse(_text(past_cap)).letters == past_cap
+    assert memo.cache_info().misses == misses + 1
 
 
 def test_word_prefix_relations():
