@@ -24,12 +24,12 @@ from .constructions import (
 )
 from .element import (
     ConeKind,
+    _read_element,
     apply_point,
     apply_word,
     format_element,
     is_volume_preserving,
     order_bounded,
-    parse_element,
     sign,
     support,
 )
@@ -39,11 +39,6 @@ from .render import render_dot
 from .search import find_element, grow_ball, load_generator_manifest, save_ball
 from .verify import SUITE_ALIASES, SUITE_BUILDERS, run_suites
 from .words import Alphabet, RationalPoint, Word
-
-
-def _read_element(path: str):
-    with open(path) as fh:
-        return parse_element(fh.read())
 
 
 def _eval_arg(args) -> "VnElement":

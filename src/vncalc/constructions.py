@@ -10,7 +10,6 @@ difference property.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,17 +23,18 @@ from .errors import (
 from .element import (
     VnElement,
     _canonical,
+    _read_element,
     _table_letters,
     commutator,
     compose,
     conjugate,
     identity,
     order_bounded,
-    parse_element,
     power,
     table_parity,
 )
-from .words import Alphabet, Word, check_letters, repeat_letter
+from .search import GeneratorSet, _walk
+from .words import Alphabet, Word, _parse_int, check_letters, repeat_letter
 
 
 @dataclass(frozen=True)
@@ -414,19 +414,8 @@ def base_involutions(
 
 def _generator_words(alphabet: Alphabet, max_length: int) -> list[VnElement]:
     """Products of up to max_length factors from {sigma, tau}, deduplicated."""
-    gens = [sigma_dot(alphabet), make_tau(alphabet)]
-    seen = dict.fromkeys([identity(alphabet)])
-    frontier = list(seen)
-    for _ in range(max_length):
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                cand = compose(g, h)
-                if cand not in seen:
-                    seen[cand] = None
-                    nxt.append(cand)
-        frontier = nxt
-    return list(seen)
+    gens = GeneratorSet.from_dict({"sigma": sigma_dot(alphabet), "tau": make_tau(alphabet)})
+    return [g for _, g in _walk(gens, max_length)]
 
 
 def default_base(alphabet: Alphabet, size: int) -> list[VnElement]:
@@ -472,20 +461,19 @@ def load_alpha_plan(path: str) -> AlphaPlan:
     if len(parts) != 3 or parts[0] != "alpha":
         raise FileFormatError(f"expected 'alpha <degree> <length>', got {header!r}", lineno)
     try:
-        alphabet, ell = Alphabet(int(parts[1])), int(parts[2])
+        alphabet, ell = Alphabet(_parse_int(parts[1])), _parse_int(parts[2])
     except ValueError as exc:
         raise FileFormatError(str(exc), lineno) from exc
     if ell < 0:
         raise FileFormatError("sequence length must be >= 0", lineno)
     entries = [identity(alphabet)] * ell
-    base_dir = os.path.dirname(os.path.abspath(path))
     filled: set[int] = set()
     for lineno, ln in lines[1:]:
         if " @ " not in ln:
             raise FileFormatError(f"expected '<index> @ <element-file>', got {ln!r}", lineno)
         left, right = ln.split(" @ ", 1)
         try:
-            k = int(left)
+            k = _parse_int(left.strip())
         except ValueError:
             raise FileFormatError(f"bad index {left!r}", lineno) from None
         if not 1 <= k <= ell:
@@ -493,9 +481,7 @@ def load_alpha_plan(path: str) -> AlphaPlan:
         if k in filled:
             raise FileFormatError(f"index {k} listed twice", lineno)
         filled.add(k)
-        elt_path = right if os.path.isabs(right) else os.path.join(base_dir, right)
-        with open(elt_path) as fh:
-            g = parse_element(fh.read())
+        g = _read_element(right, path)
         if g.alphabet != alphabet:
             raise FileFormatError(
                 f"element at index {k} has degree {g.alphabet.degree}, plan has "

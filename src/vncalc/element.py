@@ -11,6 +11,7 @@ correctly.
 from __future__ import annotations
 
 import functools
+import os
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .words import (
     Word,
     _check_antichain,
     _check_degree,
+    _parse_int,
     _parse_letters,
     _random_leaves,
     _text,
@@ -630,7 +632,7 @@ def parse_element(text: str) -> VnElement:
     if len(parts) != 2 or parts[0] != "vn":
         raise FileFormatError(f"expected 'vn <degree>', got {header!r}", lineno)
     try:
-        alphabet = Alphabet(int(parts[1]))
+        alphabet = Alphabet(_parse_int(parts[1]))
     except ValueError as exc:
         raise FileFormatError(str(exc), lineno) from exc
     degree = alphabet.degree
@@ -661,3 +663,13 @@ def parse_element(text: str) -> VnElement:
         if v[-1:] == (1,) and img[k : k + degree] == [v[:-1] + (i,) for i in alphabet.letters]:
             return _canonical(zip(dom, img), alphabet)
     return VnElement(alphabet, dom, tuple(img))
+
+
+def _read_element(path: str, listed_in: str | None = None) -> VnElement:
+    """Parse an element file.  A path listed in another file, such as a
+    manifest or a plan, is relative to that file's directory; an absolute
+    path is kept as it is."""
+    if listed_in is not None:
+        path = os.path.join(os.path.dirname(os.path.abspath(listed_in)), path)
+    with open(path) as fh:
+        return parse_element(fh.read())

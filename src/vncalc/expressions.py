@@ -110,9 +110,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip():
-                raise ExpressionError(f"unexpected character {text[pos]!r}", pos)
+        if m is None:
+            # Report the first character after the spaces the match skipped.
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ExpressionError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
             break
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))

@@ -14,11 +14,19 @@ import functools
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
-from .element import VnElement, compose, format_element, identity, invert, parse_element
+from .element import (
+    VnElement,
+    _read_element,
+    compose,
+    format_element,
+    identity,
+    invert,
+    parse_element,
+)
 from .errors import AlphabetMismatchError, FileFormatError, ParameterRangeError, VnError
-from .words import Alphabet
+from .words import Alphabet, _parse_int
 
 GenWord = tuple[str, ...]
 
@@ -109,11 +117,36 @@ class Ball:
         return {g: w for w, g in reversed(self.entries)}
 
 
-def _expand_frontier(frontier, tokens):
-    """Candidate (word, element) pairs for the next level, in frontier order."""
-    for word, g in frontier:
-        for tok, h in tokens:
-            yield word + (tok,), compose(g, h)
+def _walk(gens: GeneratorSet, radius: int):
+    """Each element within the radius once, as (word, element), in search order.
+
+    Level by level, each frontier word is extended by every token in token
+    order, one ``compose`` per candidate; a candidate is yielded as soon as
+    it proves new, so each element comes with its shortest, then least,
+    word.  The walk stops early when its caller stops reading.
+    """
+    tokens = gens.tokens()
+    frontier = [((), identity(gens.alphabet))]
+    seen = {frontier[0][1]}
+    yield frontier[0]
+    for _ in range(radius):
+        fresh: list[tuple[GenWord, VnElement]] = []
+        for word, g in frontier:
+            for tok, h in tokens:
+                cand = compose(g, h)
+                # One hash per candidate: a new element is one that grows seen.
+                size = len(seen)
+                seen.add(cand)
+                if len(seen) > size:
+                    fresh.append((word + (tok,), cand))
+                    yield fresh[-1]
+        frontier = fresh
+
+
+def _sizes(entries, radius: int) -> tuple[int, ...]:
+    """Number of entries within each radius 0..radius, from the word lengths."""
+    lengths = Counter(len(w) for w, _ in entries)
+    return tuple(accumulate(lengths[r] for r in range(radius + 1)))
 
 
 def grow_ball(
@@ -125,47 +158,21 @@ def grow_ball(
 ) -> Ball:
     """Deduplicated ball of the given radius, deterministically ordered.
 
-    Stops early once the cap is reached, marking the ball truncated; the
-    retained prefix of the enumeration is still deterministic.  The
-    manifest is stored sorted by name, the order save_ball writes it in.
-    ``workers`` has no effect: the expansion is serial.
+    Keeps the first ``cap`` elements of the search, marking the ball
+    truncated when one more exists; the retained prefix is still
+    deterministic.  The manifest is stored sorted by name, the order
+    save_ball writes it in.  ``workers`` has no effect: the search is
+    serial.
     """
     if radius < 0:
         raise ParameterRangeError("radius must be >= 0")
     if cap < 1:
         raise ParameterRangeError("cap must be >= 1")
-    tokens = gens.tokens()
-    ident = identity(gens.alphabet)
-    entries: list[tuple[GenWord, VnElement]] = [((), ident)]
-    seen = {ident}
-    sizes = [1]
-    frontier = [((), ident)]
-    truncated = False
-    for _ in range(radius):
-        fresh: list[tuple[GenWord, VnElement]] = []
-        if not truncated:
-            # One hash per candidate: a new element is one that grows seen.
-            # At the cap only a lookup may run, so truncation stays exact.
-            for word, g in _expand_frontier(frontier, tokens):
-                size = len(seen)
-                if size < cap:
-                    seen.add(g)
-                    if len(seen) > size:
-                        fresh.append((word, g))
-                elif g not in seen:
-                    truncated = True
-                    break
-        entries.extend(fresh)
-        sizes.append(len(entries))
-        frontier = fresh
-    return Ball(
-        gens.alphabet,
-        radius,
-        tuple(entries),
-        tuple(sizes),
-        truncated,
-        tuple(sorted(manifest)),
-    )
+    walk = _walk(gens, radius)
+    entries = tuple(islice(walk, cap))
+    truncated = next(walk, None) is not None
+    manifest = tuple(sorted(manifest))
+    return Ball(gens.alphabet, radius, entries, _sizes(entries, radius), truncated, manifest)
 
 
 def find_element(
@@ -174,24 +181,7 @@ def find_element(
     """Shortest (then lexicographically least) word for the target, if any."""
     if target.alphabet != gens.alphabet:
         raise AlphabetMismatchError("target and generators use different alphabets")
-    tokens = gens.tokens()
-    ident = identity(gens.alphabet)
-    if target == ident:
-        return ()
-    seen = {ident}
-    frontier = [((), ident)]
-    for _ in range(max_radius):
-        fresh = []
-        for word, g in _expand_frontier(frontier, tokens):
-            size = len(seen)
-            seen.add(g)
-            if len(seen) == size:
-                continue
-            if g == target:
-                return word
-            fresh.append((word, g))
-        frontier = fresh
-    return None
+    return next((word for word, g in _walk(gens, max_radius) if g == target), None)
 
 
 def save_ball(ball: Ball, path: str) -> None:
@@ -229,8 +219,8 @@ def load_ball(path: str) -> Ball:
             f"expected 'ball <n> <radius> <count> <truncated>', got {lines[0]!r}", 1
         )
     try:
-        alphabet = Alphabet(int(head[1]))
-        radius, count, trunc = int(head[2]), int(head[3]), int(head[4])
+        alphabet = Alphabet(_parse_int(head[1]))
+        radius, count, trunc = map(_parse_int, head[2:])
     except ValueError as exc:
         raise FileFormatError(str(exc), 1) from exc
     if trunc not in (0, 1):
@@ -280,18 +270,15 @@ def load_ball(path: str) -> Ball:
         entries.append((word, g))
     if len(entries) != count:
         raise FileFormatError(f"header says {count} elements, file has {len(entries)}")
-    lengths = Counter(len(w) for w, _ in entries)
-    sizes = tuple(accumulate(lengths[r] for r in range(radius + 1)))
-    return Ball(alphabet, radius, tuple(entries), sizes, bool(trunc), tuple(manifest))
+    return Ball(
+        alphabet, radius, tuple(entries), _sizes(entries, radius), bool(trunc), tuple(manifest)
+    )
 
 
 def load_generator_manifest(path: str) -> tuple[GeneratorSet, tuple[tuple[str, str], ...]]:
     """Read 'gen <name> <element-file>' lines into a generator set."""
-    import os
-
     with open(path) as fh:
         lines = fh.read().splitlines()
-    base_dir = os.path.dirname(os.path.abspath(path))
     named: dict[str, VnElement] = {}
     manifest = []
     for lineno, ln in enumerate(lines, start=1):
@@ -304,8 +291,6 @@ def load_generator_manifest(path: str) -> tuple[GeneratorSet, tuple[tuple[str, s
         name, src = fields[1], fields[2]
         if name in named:
             raise FileFormatError(f"duplicate generator name {name!r}", lineno)
-        full = src if os.path.isabs(src) else os.path.join(base_dir, src)
-        with open(full) as fh:
-            named[name] = parse_element(fh.read())
+        named[name] = _read_element(src, path)
         manifest.append((name, src))
     return GeneratorSet.from_dict(named), tuple(manifest)

@@ -174,6 +174,18 @@ def _parse_letters(text: str) -> tuple[int, ...]:
     return letters
 
 
+_INTEGER = re.compile(r"-?[0-9]+").fullmatch
+
+
+def _parse_int(text: str) -> int:
+    """A number in a file header: ASCII digits, with a minus sign allowed so
+    that a negative count fails its range check.  Raises ``ValueError`` with
+    ``int``'s message for any other spelling."""
+    if _INTEGER(text) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 EPS = Word()
 
 

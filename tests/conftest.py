@@ -30,6 +30,10 @@ is the ball reader as it was before, which scans every line of a block
 on its own, kept as the reference for ``load_ball``.  Both word oracles
 read letters through ``naive_letters``, which matches each letter against
 a regular expression of ASCII digits, the only spelling the writer uses.
+``naive_grow_ball``, ``naive_find_element`` and ``naive_generator_words``
+are the three breadth-first loops as they were before ``vncalc.search``
+ran all of them through one walk, kept as the reference for that walk:
+the same entries, sizes, truncation point and witness words.
 """
 
 from __future__ import annotations
@@ -45,8 +49,11 @@ from vncalc.element import (
     VnElement,
     _canonical,
     _require_same_alphabet,
+    compose,
+    identity,
 )
 from vncalc.errors import (
+    AlphabetMismatchError,
     ArityError,
     FileFormatError,
     MalformedWordError,
@@ -419,6 +426,108 @@ def naive_load_ball(path: str) -> Ball:
     lengths = Counter(len(w) for w, _ in entries)
     sizes = tuple(accumulate(lengths[r] for r in range(radius + 1)))
     return Ball(alphabet, radius, tuple(entries), sizes, bool(trunc), tuple(manifest))
+
+
+def naive_expand_frontier(frontier, tokens):
+    """Candidate (word, element) pairs for the next level, in frontier order."""
+    for word, g in frontier:
+        for tok, h in tokens:
+            yield word + (tok,), compose(g, h)
+
+
+def naive_grow_ball(
+    gens: GeneratorSet,
+    radius: int,
+    cap: int = 10**6,
+    workers: int = 1,
+    manifest: tuple[tuple[str, str], ...] = (),
+) -> Ball:
+    """Deduplicated ball of the given radius, deterministically ordered.
+
+    Stops early once the cap is reached, marking the ball truncated; the
+    retained prefix of the enumeration is still deterministic.  The
+    manifest is stored sorted by name, the order save_ball writes it in.
+    ``workers`` has no effect: the expansion is serial.
+    """
+    if radius < 0:
+        raise ParameterRangeError("radius must be >= 0")
+    if cap < 1:
+        raise ParameterRangeError("cap must be >= 1")
+    tokens = gens.tokens()
+    ident = identity(gens.alphabet)
+    entries: list[tuple[GenWord, VnElement]] = [((), ident)]
+    seen = {ident}
+    sizes = [1]
+    frontier = [((), ident)]
+    truncated = False
+    for _ in range(radius):
+        fresh: list[tuple[GenWord, VnElement]] = []
+        if not truncated:
+            # One hash per candidate: a new element is one that grows seen.
+            # At the cap only a lookup may run, so truncation stays exact.
+            for word, g in naive_expand_frontier(frontier, tokens):
+                size = len(seen)
+                if size < cap:
+                    seen.add(g)
+                    if len(seen) > size:
+                        fresh.append((word, g))
+                elif g not in seen:
+                    truncated = True
+                    break
+        entries.extend(fresh)
+        sizes.append(len(entries))
+        frontier = fresh
+    return Ball(
+        gens.alphabet,
+        radius,
+        tuple(entries),
+        tuple(sizes),
+        truncated,
+        tuple(sorted(manifest)),
+    )
+
+
+def naive_find_element(
+    target: VnElement, gens: GeneratorSet, max_radius: int
+) -> GenWord | None:
+    """Shortest (then lexicographically least) word for the target, if any."""
+    if target.alphabet != gens.alphabet:
+        raise AlphabetMismatchError("target and generators use different alphabets")
+    tokens = gens.tokens()
+    ident = identity(gens.alphabet)
+    if target == ident:
+        return ()
+    seen = {ident}
+    frontier = [((), ident)]
+    for _ in range(max_radius):
+        fresh = []
+        for word, g in naive_expand_frontier(frontier, tokens):
+            size = len(seen)
+            seen.add(g)
+            if len(seen) == size:
+                continue
+            if g == target:
+                return word
+            fresh.append((word, g))
+        frontier = fresh
+    return None
+
+
+def naive_generator_words(alphabet: Alphabet, max_length: int) -> list[VnElement]:
+    """Products of up to max_length factors from {sigma, tau}, deduplicated."""
+    gens = [sigma_dot(alphabet), make_tau(alphabet)]
+    seen = dict.fromkeys([identity(alphabet)])
+    frontier = list(seen)
+    for _ in range(max_length):
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                cand = compose(g, h)
+                if cand not in seen:
+                    seen[cand] = None
+                    nxt.append(cand)
+        frontier = nxt
+    return list(seen)
 
 
 def spinal_gens() -> GeneratorSet:

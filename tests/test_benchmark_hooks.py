@@ -100,6 +100,17 @@ def test_ball_load_is_one_step_per_element(tmp_path):
     assert len(clock.ends) == len(ball)
 
 
+def test_ball_grow_is_one_step_per_candidate():
+    """ball-roundtrip's step clock cuts ``grow_ball`` at each return from
+    ``compose``, so the growth must call it once per candidate product:
+    every token after every word shorter than the radius."""
+    gens, radius = spinal_gens(), 6
+    with load_tracer().StepClock(("element.compose",)) as clock:
+        ball = search.grow_ball(gens, radius)
+    assert not ball.truncated
+    assert len(clock.ends) == ball.sizes[radius - 1] * len(gens.tokens())
+
+
 def test_benchmark_tracer_still_finds_the_cached_entry_points():
     public = load_tracer()._public_functions
     found = {

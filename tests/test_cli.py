@@ -126,6 +126,47 @@ def test_plan_and_make_s(tmp_path, capsys):
     assert parse_element(out) == make_s_alpha(plan_alpha(base))
 
 
+def test_listed_element_files_resolve_beside_their_list(tmp_path, capsys):
+    """Manifests and plans read a relative element path from their own
+    directory and an absolute one as it is."""
+    base = default_base(A2, 1)
+    (tmp_path / "b.elt").write_text(format_element(base[0]) + "\n")
+    (tmp_path / "s.elt").write_text(format_element(sigma_dot(A2)) + "\n")
+    lists = tmp_path / "lists"
+    lists.mkdir()
+    (lists / "gens.txt").write_text(f"gen a {tmp_path / 's.elt'}\ngen b ../b.elt\n")
+    (lists / "plan.alpha").write_text(f"alpha 2 2\n1 @ {tmp_path / 'b.elt'}\n")
+    code, out, _ = run(
+        capsys, "find", "--gens", str(lists / "gens.txt"), "--target", str(tmp_path / "b.elt"),
+        "--radius", "1",
+    )
+    assert (code, out) == (0, "b\n")
+    code, out, _ = run(capsys, "make", "s", "-n", "2", "--alpha", str(lists / "plan.alpha"))
+    assert code == 0
+    assert parse_element(out) == make_s_alpha(plan_alpha(base))
+
+
+@pytest.mark.parametrize("content", [None, "vn x\n"], ids=["missing", "bad-header"])
+@pytest.mark.parametrize(
+    "listing, argv",
+    [
+        (None, ["canon", "{elt}"]),
+        ("gen a {elt}\n", ["find", "--gens", "{list}", "--target", "{elt}", "--radius", "1"]),
+        ("alpha 2 2\n1 @ {elt}\n", ["make", "s", "-n", "2", "--alpha", "{list}"]),
+    ],
+    ids=["canon", "manifest", "plan"],
+)
+def test_bad_element_file_is_one_error_line(tmp_path, capsys, content, listing, argv):
+    elt, listed = tmp_path / "e.elt", tmp_path / "list.txt"
+    if content is not None:
+        elt.write_text(content)
+    if listing is not None:
+        listed.write_text(listing.format(elt=elt.name))
+    code, out, err = run(capsys, *(a.format(elt=elt, list=listed) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_exit_zero_and_lines(capsys):
     code, out, _ = run(capsys, "verify", "involutions", "-n", "2", "-n", "3")
     assert code == 0

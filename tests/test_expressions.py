@@ -101,10 +101,18 @@ def test_parse_errors_carry_position():
 
 @pytest.mark.parametrize(
     "text, position",
-    [("sigma^\u0662", 6), ("embed(\u0661, sigma)", 6), ("t^\uff13", 2), ("dot((1\u0662))", 6)],
+    [
+        ("sigma^\u0662", 6),
+        ("embed(\u0661, sigma)", 6),
+        ("t^\uff13", 2),
+        ("dot((1\u0662))", 6),
+        ("dot((1 \u0662))", 7),
+        ("sigma  @", 7),
+    ],
 )
 def test_numbers_are_ascii_digits(text, position):
-    """A non-ASCII digit is an unexpected character, not a number."""
+    """A non-ASCII digit is an unexpected character, not a number.  The
+    error names that character and its position, not a space before it."""
     with pytest.raises(ExpressionError) as info:
         parse_expression(text)
     assert str(info.value) == f"unexpected character {text[position]!r} (at position {position})"

@@ -1,11 +1,24 @@
 """Ball growth, witness words, and the persistence format."""
 
-import pytest
+import random
 
-from conftest import spinal_gens
-from vncalc.constructions import default_base, make_s_alpha, make_t, make_tau, plan_alpha, sigma_dot
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import naive_find_element, naive_grow_ball, spinal_gens
+from vncalc.constructions import (
+    Permutation,
+    default_base,
+    dot,
+    make_s_alpha,
+    make_t,
+    make_tau,
+    plan_alpha,
+    sigma_dot,
+)
 from vncalc import search
-from vncalc.element import VnElement, compose, format_element, identity, invert
+from vncalc.element import VnElement, compose, format_element, identity, invert, random_element
 from vncalc.errors import AlphabetMismatchError, FileFormatError
 from vncalc.search import (
     Ball,
@@ -143,6 +156,48 @@ def test_ball_stabilizes_on_finite_groups():
     gens = GeneratorSet.from_dict({"sigma": sigma_dot(A2)})
     ball = grow_ball(gens, 5)
     assert ball.sizes == (1, 2, 2, 2, 2, 2)
+
+
+def walk_pool(n):
+    """Generators of small balls at degree n: non-involutions, then involutions."""
+    a = Alphabet(n)
+    movers = [make_t(a), random_element(a, random.Random(n), 3)]
+    if n == 3:
+        movers.append(dot(Permutation.from_cycles([(1, 2, 3)], 3), a))
+    return movers, [sigma_dot(a), make_tau(a)]
+
+
+@st.composite
+def walk_cases(draw):
+    """A generator set with one non-involution, so that ``^-1`` tokens occur,
+    and at most one involution, under names that vary the token order."""
+    n = draw(st.sampled_from([2, 3]))
+    movers, involutions = walk_pool(n)
+    chosen = [draw(st.sampled_from(movers))]
+    chosen += draw(st.lists(st.sampled_from(involutions), max_size=1))
+    # "t2" sorts before "t^-1" and "ta" after it.
+    names = draw(st.permutations(["a", "t", "t2", "ta"]))
+    gens = GeneratorSet.from_dict(dict(zip(names, chosen)))
+    return gens, draw(st.integers(0, 6))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(walk_cases())
+def test_walk_matches_the_naive_ball_and_find_loops(case):
+    """grow_ball at every cap and find_element for every element agree with
+    the breadth-first loops they replaced."""
+    gens, radius = case
+    ball = grow_ball(gens, radius)
+    assert any("^-1" in tok for tok, _ in gens.tokens())
+    for cap in range(1, len(ball) + 2):
+        assert grow_ball(gens, radius, cap=cap) == naive_grow_ball(gens, radius, cap=cap), cap
+    elements = ball.elements()
+    for word, g in ball.entries:
+        assert find_element(g, gens, radius) == naive_find_element(g, gens, radius) == word
+    beyond = [g for _, g in naive_grow_ball(gens, radius + 1).entries if g not in elements]
+    outside = beyond[0] if beyond else random_element(gens.alphabet, random.Random(0), 6)
+    assert outside not in elements
+    assert find_element(outside, gens, radius) is naive_find_element(outside, gens, radius) is None
 
 
 def test_find_identity_is_empty_word():

@@ -32,6 +32,7 @@ from vncalc.constructions import (
     Permutation,
     SidonSet,
     default_base,
+    load_alpha_plan,
     make_s_alpha,
     make_t,
     make_tau,
@@ -43,6 +44,7 @@ from vncalc.constructions import (
 import vncalc.element as element_module
 from vncalc.element import (
     VnElement,
+    _read_element,
     canonicalize,
     compose,
     format_element,
@@ -275,6 +277,44 @@ def test_row_letters_are_ascii_digits(word):
         parse_element(text)
     assert str(info.value) == f"line 2: bad word syntax {word!r}"
     assert outcome(parse_element, text) == outcome(naive_tuple_parse_element, text)
+
+
+INT_ERROR = "line 1: invalid literal for int() with base 10: {!r}"
+BALL_BODY = "\n\nword\nvn 2\neps -> eps\n"
+
+HEADER_NUMBERS = [
+    (_read_element, "vn {}\neps -> eps\n", 2, INT_ERROR),
+    (load_ball, "ball {} 0 1 0" + BALL_BODY, 2, INT_ERROR),
+    (load_ball, "ball 2 {} 1 0" + BALL_BODY, 1, INT_ERROR),
+    (load_ball, "ball 2 0 {} 0" + BALL_BODY, 1, INT_ERROR),
+    (load_alpha_plan, "alpha {} 2\n1 @ b.elt\n", 2, INT_ERROR),
+    (load_alpha_plan, "alpha 2 {}\n1 @ b.elt\n", 2, INT_ERROR),
+    (load_alpha_plan, "alpha 2 2\n{} @ b.elt\n", 1, "line 2: bad index {!r}"),
+]
+
+
+@pytest.mark.parametrize("reader, text, value, message", HEADER_NUMBERS)
+def test_header_numbers_are_ascii_digits(tmp_path, reader, text, value, message):
+    """The numbers of element, ball and plan headers and a plan's indices
+    follow the rule of word letters: ASCII digits only.  Any other spelling
+    gets the message that a non-number such as ``x`` gets."""
+    (tmp_path / "b.elt").write_text(format_element(default_base(Alphabet(2), 1)[0]) + "\n")
+    path = tmp_path / "file.txt"
+    path.write_text(text.format(value))
+    reader(str(path))
+    for number in ["x", chr(0x660 + value), f"0_{value}", f"+{value}"]:
+        path.write_text(text.format(number))
+        with pytest.raises(FileFormatError) as info:
+            reader(str(path))
+        assert str(info.value) == message.format(number)
+
+
+def test_negative_plan_length_keeps_its_message(tmp_path):
+    path = tmp_path / "p.alpha"
+    path.write_text("alpha 2 -1\n")
+    with pytest.raises(FileFormatError) as info:
+        load_alpha_plan(str(path))
+    assert str(info.value) == "line 1: sequence length must be >= 0"
 
 
 def clear_parse_memos():
