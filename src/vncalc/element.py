@@ -196,17 +196,21 @@ def _check_images(letters: list[Letters], degree: int) -> None:
     """Raise unless the images, listed in domain order, are distinct, lie
     within the degree and form a partition set; the first failure in that
     order is reported, and a bad letter at its first image."""
-    image_set = set(letters)
-    if len(image_set) != len(letters):
+    if len(set(letters)) != len(letters):
         raise NotABijectionError("image words are not distinct")
     _check_degree(letters, degree)
-    _check_image_partition(image_set, degree)
+    _check_image_partition(tuple(sorted(letters)), degree)
 
 
-def _check_image_partition(images: set[tuple], degree: int) -> None:
+def _check_image_partition(images: tuple[Letters, ...], degree: int) -> None:
+    """Raise unless sorted images within the degree are distinct and form a
+    partition set, reporting repeats first.  A repeat fails the partition
+    check too, so only a failed set is tested for repeats."""
     try:
-        _checked_partition(tuple(sorted(images)), degree)
+        _checked_partition(images, degree)
     except NotAPartitionError as exc:
+        if len(set(images)) != len(images):
+            raise NotABijectionError("image words are not distinct") from None
         raise NotABijectionError(f"images are not a partition set: {exc}") from exc
 
 
@@ -543,11 +547,23 @@ def random_element(
     return _canonical(zip(dom, img), alphabet)
 
 
+def _row_text(w: Letters, v: Letters) -> str:
+    return f"{_text(w)} -> {_text(v)}"
+
+
+# Writing is memoized per row: a ball file repeats a few thousand distinct
+# rows over a hundred thousand lines.  Like the word memo, it keeps at most
+# _MEMO_SIZE rows, and a table holding a word of more than _MEMO_LETTERS
+# letters is written row by row without it.
+_memo_row_text = functools.lru_cache(maxsize=_MEMO_SIZE)(_row_text)
+
+
 def format_element(g: VnElement) -> str:
     """Bit-exact text form: header line then one sorted row per cone."""
-    lines = [f"vn {g.alphabet.degree}"]
-    lines.extend(f"{_text(w)} -> {_text(v)}" for w, v in zip(g.dom, g.img))
-    return "\n".join(lines)
+    dom, img = g.dom, g.img
+    short = max(map(len, dom)) <= _MEMO_LETTERS and max(map(len, img)) <= _MEMO_LETTERS
+    rows = map(_memo_row_text if short else _row_text, dom, img)
+    return "\n".join([f"vn {g.alphabet.degree}", *rows])
 
 
 # parse_element checks each distinct row text and each distinct partition
@@ -559,6 +575,15 @@ def format_element(g: VnElement) -> str:
 # no large table.  A partition set holding a word of L letters has at
 # least L + 1 words, so no memoized set holds a word past _MEMO_LETTERS.
 _MEMO_WORDS = _MEMO_LETTERS
+
+
+def _alphabet(degree: str) -> Alphabet:
+    """The alphabet of a ``vn <degree>`` header's degree text."""
+    return Alphabet(_parse_int(degree))
+
+
+# A failed header raises, so this memo holds only alphabets.
+_memo_alphabet = functools.lru_cache(maxsize=64)(_alphabet)
 
 
 def _row(text: str) -> tuple[Letters, Letters, int]:
@@ -618,26 +643,32 @@ def parse_element(text: str) -> VnElement:
     The domain must then form a partition set without repeats
     (``FileFormatError``), and the images must be distinct and form a
     partition set (``NotABijectionError``); each distinct partition set is
-    checked once per process.  The checked table is reduced and wrapped
-    without validating its words again: the domain memo keeps the carets
-    whose children are all domain words, so a canonical table, such as
-    every table a ball file holds, is recognised without the reducer and
-    keeps the memo's domain tuple; elements with equal domains share one.
+    checked once per process, and images found in that memo need no test
+    for repeats.  The checked table is reduced and wrapped without
+    validating its words again: the domain memo keeps the carets whose
+    children are all domain words, so a canonical table, such as every
+    table a ball file holds, is recognised without the reducer and keeps
+    the memo's domain tuple; elements with equal domains share one.
     """
-    lines = [(i, ln) for i, raw in enumerate(text.splitlines(), 1) if (ln := raw.strip())]
+    lines = list(map(str.strip, text.splitlines()))
+    numbers = range(1, len(lines) + 1)
+    if not all(lines):
+        # Blank lines are skipped, and still counted in the line numbers.
+        numbers = [i for i, ln in zip(numbers, lines) if ln]
+        lines = list(filter(None, lines))
     if not lines:
         raise FileFormatError("empty element text")
-    lineno, header = lines[0]
+    lineno, header = numbers[0], lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "vn":
         raise FileFormatError(f"expected 'vn <degree>', got {header!r}", lineno)
     try:
-        alphabet = Alphabet(_parse_int(parts[1]))
+        alphabet = _memo_alphabet(parts[1])
     except ValueError as exc:
         raise FileFormatError(str(exc), lineno) from exc
     degree = alphabet.degree
     table: dict[Letters, Letters] = {}
-    for lineno, ln in lines[1:]:
+    for lineno, ln in zip(numbers[1:], lines[1:]):
         try:
             w, v, top = _row(ln) if len(ln) > 2 * _MEMO_LETTERS else _memo_row(ln)
             if top > degree:
@@ -645,24 +676,27 @@ def parse_element(text: str) -> VnElement:
         except VnError as exc:
             raise FileFormatError(str(exc), lineno) from exc
         table[w] = v
+    words = tuple(table)
     try:
-        dom, carets = _checked_partition(tuple(sorted(table)), degree)
+        dom, carets = _checked_partition(tuple(sorted(words)), degree)
     except NotAPartitionError as exc:
         raise FileFormatError(f"domain is not a partition set: {exc}") from exc
     if len(table) != len(lines) - 1:
         raise FileFormatError("duplicate domain words")
-    image_set = set(table.values())
-    if len(image_set) != len(table):
-        raise NotABijectionError("image words are not distinct")
-    _check_image_partition(image_set, degree)
-    img = [table[w] for w in dom]
+    images = tuple(table.values())
+    _check_image_partition(tuple(sorted(images)), degree)
+    # Rows listed in domain order, as format_element writes them, give the
+    # images in domain order without a lookup.
+    img = images if words == dom else tuple(map(table.__getitem__, dom))
     # The table is canonical, and keeps the memo's domain tuple, unless a
     # caret whose children are all domain words has images v.1..v.n.
     for k in carets:
         v = img[k]
-        if v[-1:] == (1,) and img[k : k + degree] == [v[:-1] + (i,) for i in alphabet.letters]:
+        if v[-1:] == (1,) and img[k : k + degree] == tuple(
+            [v[:-1] + (i,) for i in alphabet.letters]
+        ):
             return _canonical(zip(dom, img), alphabet)
-    return VnElement(alphabet, dom, tuple(img))
+    return VnElement(alphabet, dom, img)
 
 
 def _read_element(path: str, listed_in: str | None = None) -> VnElement:

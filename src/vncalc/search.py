@@ -14,7 +14,7 @@ import functools
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, pairwise
 
 from .element import (
     VnElement,
@@ -123,24 +123,43 @@ def _walk(gens: GeneratorSet, radius: int):
     Level by level, each frontier word is extended by every token in token
     order, one ``compose`` per candidate; a candidate is yielded as soon as
     it proves new, so each element comes with its shortest, then least,
-    word.  The walk stops early when its caller stops reading.
+    word.  The token that undoes a word's last token is skipped: that
+    product is the element of the word's parent, which is already seen, so
+    the skip changes neither the items yielded nor their order.  The walk
+    stops early when its caller stops reading.
     """
     tokens = gens.tokens()
+    # undo[j] is the index of token j's inverse.  The inverse of x is x^-1;
+    # a token with no ^-1 partner is its own inverse, since ``tokens`` adds
+    # x^-1 only where the inverse differs.
+    index = {tok: j for j, (tok, _) in enumerate(tokens)}
+    undo = list(range(len(tokens)))
+    for j, (tok, _) in enumerate(tokens):
+        if tok.endswith(_INVERSE_SUFFIX):
+            k = index[tok[: -len(_INVERSE_SUFFIX)]]
+            undo[j], undo[k] = k, j
     frontier = [((), identity(gens.alphabet))]
+    # skips[i] is the token that frontier[i] skips: the inverse of its
+    # last token, or -1 for the empty word.
+    skips = [-1]
     seen = {frontier[0][1]}
     yield frontier[0]
     for _ in range(radius):
         fresh: list[tuple[GenWord, VnElement]] = []
-        for word, g in frontier:
-            for tok, h in tokens:
+        fresh_skips: list[int] = []
+        for (word, g), skip in zip(frontier, skips):
+            for j, (tok, h) in enumerate(tokens):
+                if j == skip:
+                    continue
                 cand = compose(g, h)
                 # One hash per candidate: a new element is one that grows seen.
                 size = len(seen)
                 seen.add(cand)
                 if len(seen) > size:
                     fresh.append((word + (tok,), cand))
+                    fresh_skips.append(undo[j])
                     yield fresh[-1]
-        frontier = fresh
+        frontier, skips = fresh, fresh_skips
 
 
 def _sizes(entries, radius: int) -> tuple[int, ...]:
@@ -179,6 +198,8 @@ def find_element(
     target: VnElement, gens: GeneratorSet, max_radius: int
 ) -> GenWord | None:
     """Shortest (then lexicographically least) word for the target, if any."""
+    if max_radius < 0:
+        raise ParameterRangeError("radius must be >= 0")
     if target.alphabet != gens.alphabet:
         raise AlphabetMismatchError("target and generators use different alphabets")
     return next((word for word, g in _walk(gens, max_radius) if g == target), None)
@@ -237,10 +258,11 @@ def load_ball(path: str) -> Ball:
         pos += 1
     entries: list[tuple[GenWord, VnElement]] = []
     first_line: dict[VnElement, int] = {}
-    # Each block is a run of non-blank lines: a word line, then the element.
+    # Each block is a run of non-blank lines, a word line and then the
+    # element, between two blank lines.
     blank = [i for i in range(pos, len(lines)) if not lines[i].strip()]
-    starts = [pos] + [i + 1 for i in blank]
-    for start, end in zip(starts, blank + [len(lines)]):
+    for before, end in pairwise([pos - 1, *blank, len(lines)]):
+        start = before + 1
         if start == end:
             continue
         if lines[start] != "word" and not lines[start].startswith("word "):

@@ -42,7 +42,7 @@ class Alphabet:
         return range(1, self.degree + 1)
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Word:
     """A finite (possibly empty) word; letters are 1-based integers.
 
@@ -55,7 +55,9 @@ class Word:
     derived from valid words (``+``, ``take``, ``drop``, ``parent``) and
     the tables built by the element kernel are wrapped by ``_word``
     without a second check.  Slotted: a ball holds hundreds of thousands
-    of words, and none of them carries an instance dict.
+    of words, and none of them carries an instance dict.  Comparisons are
+    written out on ``letters``: the generated ones build a tuple per call,
+    and sorting tables of words calls them millions of times.
     """
 
     letters: tuple[int, ...] = ()
@@ -65,6 +67,35 @@ class Word:
         for x in self.letters:
             if type(x) is not int or x < 1:
                 raise MalformedWordError(f"letters must be integers >= 1, got {x!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __lt__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.letters < other.letters
+
+    def __le__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.letters <= other.letters
+
+    def __gt__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.letters > other.letters
+
+    def __ge__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.letters >= other.letters
+
+    def __hash__(self) -> int:
+        # The generated hash, so that sets of words iterate as before.
+        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -124,7 +155,8 @@ def _word(letters: tuple[int, ...]) -> Word:
 # most _MEMO_SIZE words, and a word of more than _MEMO_LETTERS letters is
 # converted directly, so a long power such as t^3000 leaves nothing large
 # behind.  Keys compare as tuples, which is why ``Word`` admits only exact
-# ``int`` letters.  Reading text is memoized per row, in ``element``.
+# ``int`` letters.  ``format_element`` also memoizes whole rows, and
+# reading text is memoized per row, both in ``element``.
 _MEMO_SIZE = 4096
 _MEMO_LETTERS = 32
 

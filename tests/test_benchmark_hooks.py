@@ -102,13 +102,15 @@ def test_ball_load_is_one_step_per_element(tmp_path):
 
 def test_ball_grow_is_one_step_per_candidate():
     """ball-roundtrip's step clock cuts ``grow_ball`` at each return from
-    ``compose``, so the growth must call it once per candidate product:
-    every token after every word shorter than the radius."""
+    ``compose``, so the growth must call it once per composed candidate:
+    every token after every word shorter than the radius, except the one
+    token that undoes each non-empty word's last token."""
     gens, radius = spinal_gens(), 6
     with load_tracer().StepClock(("element.compose",)) as clock:
         ball = search.grow_ball(gens, radius)
     assert not ball.truncated
-    assert len(clock.ends) == ball.sizes[radius - 1] * len(gens.tokens())
+    words = ball.sizes[radius - 1]
+    assert len(clock.ends) == words * len(gens.tokens()) - (words - 1)
 
 
 def test_benchmark_tracer_still_finds_the_cached_entry_points():

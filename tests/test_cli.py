@@ -284,6 +284,20 @@ def test_ball_out_of_range_parameter_is_reported(tmp_path, capsys, radius, cap):
     assert err.startswith("error:")
 
 
+def test_find_negative_radius_is_reported(tmp_path, capsys):
+    """find refuses a negative radius as ball does, not with NotFound(-1)."""
+    (tmp_path / "sigma.elt").write_text(format_element(sigma_dot(A2)) + "\n")
+    manifest = tmp_path / "gens.txt"
+    manifest.write_text("gen sigma sigma.elt\n")
+    code, out, err = run(
+        capsys, "find", "--gens", str(manifest), "--target", str(tmp_path / "sigma.elt"),
+        "--radius", "-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: radius must be >= 0\n"
+
+
 @pytest.mark.parametrize("command", ["ball", "find"])
 @pytest.mark.parametrize(
     "manifest_text, message",

@@ -19,7 +19,7 @@ from vncalc.constructions import (
 )
 from vncalc import search
 from vncalc.element import VnElement, compose, format_element, identity, invert, random_element
-from vncalc.errors import AlphabetMismatchError, FileFormatError
+from vncalc.errors import AlphabetMismatchError, FileFormatError, ParameterRangeError
 from vncalc.search import (
     Ball,
     GeneratorSet,
@@ -170,25 +170,54 @@ def walk_pool(n):
 @st.composite
 def walk_cases(draw):
     """A generator set with one non-involution, so that ``^-1`` tokens occur,
-    and at most one involution, under names that vary the token order."""
+    and at most one involution, under names that vary the token order.  It
+    may also name the non-involution's inverse, so that two generators undo
+    each other, and the identity, a token that is its own inverse; neither
+    adds an element, so the balls stay small."""
     n = draw(st.sampled_from([2, 3]))
     movers, involutions = walk_pool(n)
-    chosen = [draw(st.sampled_from(movers))]
+    mover = draw(st.sampled_from(movers))
+    chosen = [mover]
     chosen += draw(st.lists(st.sampled_from(involutions), max_size=1))
+    if draw(st.booleans()):
+        chosen.append(invert(mover))
+    if draw(st.booleans()):
+        chosen.append(identity(mover.alphabet))
     # "t2" sorts before "t^-1" and "ta" after it.
-    names = draw(st.permutations(["a", "t", "t2", "ta"]))
+    names = draw(st.permutations(["a", "b", "t", "t2", "ta"]))
     gens = GeneratorSet.from_dict(dict(zip(names, chosen)))
     return gens, draw(st.integers(0, 6))
+
+
+def composes_of(fn, *args):
+    """fn(*args) and the number of products the search composed for it."""
+    calls = 0
+
+    def counted(g, h):
+        nonlocal calls
+        calls += 1
+        return compose(g, h)
+
+    search.compose = counted
+    try:
+        return fn(*args), calls
+    finally:
+        search.compose = compose
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(walk_cases())
 def test_walk_matches_the_naive_ball_and_find_loops(case):
     """grow_ball at every cap and find_element for every element agree with
-    the breadth-first loops they replaced."""
+    the breadth-first loops they replaced, which compose every candidate.
+    The walk skips exactly one token after every non-empty word, the one
+    that undoes its last token."""
     gens, radius = case
-    ball = grow_ball(gens, radius)
-    assert any("^-1" in tok for tok, _ in gens.tokens())
+    ball, calls = composes_of(grow_ball, gens, radius)
+    tokens = gens.tokens()
+    assert any("^-1" in tok for tok, _ in tokens)
+    words = ball.sizes[radius - 1] if radius else 0
+    assert calls == words * len(tokens) - max(words - 1, 0)
     for cap in range(1, len(ball) + 2):
         assert grow_ball(gens, radius, cap=cap) == naive_grow_ball(gens, radius, cap=cap), cap
     elements = ball.elements()
@@ -215,6 +244,11 @@ def test_find_not_found_within_radius():
 def test_find_prefers_lexicographically_least_word():
     gens = GeneratorSet.from_dict({"a": sigma_dot(A2), "b": sigma_dot(A2)})
     assert find_element(sigma_dot(A2), gens, 3) == ("a",)
+
+
+def test_find_rejects_negative_radius():
+    with pytest.raises(ParameterRangeError, match="radius must be >= 0"):
+        find_element(identity(A2), sigma_tau_gens(), -1)
 
 
 def test_find_rejects_alphabet_mismatch():

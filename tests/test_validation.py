@@ -32,6 +32,7 @@ from vncalc.constructions import (
     Permutation,
     SidonSet,
     default_base,
+    embed,
     load_alpha_plan,
     make_s_alpha,
     make_t,
@@ -317,9 +318,64 @@ def test_negative_plan_length_keeps_its_message(tmp_path):
     assert str(info.value) == "line 1: sequence length must be >= 0"
 
 
+@pytest.mark.parametrize("letters", [_MEMO_LETTERS, _MEMO_LETTERS + 1])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_row_text_memo_matches_the_naive_writer_at_its_length_cap(n, letters):
+    """A table whose longest word has _MEMO_LETTERS letters is written through
+    the row-text memo, one entry per row; one letter more and the memo is
+    not touched.  Both give the naive writer's text, which reads back."""
+    alphabet = Alphabet(n)
+    g = embed(Word((n,) * (letters - 1)), sigma_dot(alphabet))
+    assert g.max_depth() == letters
+    memo = element_module._memo_row_text
+    memo.cache_clear()
+    text = format_element(g)
+    assert text == naive_format_element(g)
+    assert memo.cache_info().currsize == (len(g.dom) if letters == _MEMO_LETTERS else 0)
+    assert parse_element(text) == g
+
+
 def clear_parse_memos():
     element_module._memo_row.cache_clear()
     element_module._memo_partition.cache_clear()
+
+
+# Image sets that fail, after {1, 2} has been memoized as a partition set,
+# and how many sets the partition memo then holds: {1, 2}, and the text's
+# domain when that is another set.
+IMAGE_FAILURES = {
+    # Repeated images whose distinct words, {1, 2}, form a memoized set.
+    "repeats-of-a-partition-set": (
+        "vn 2\n1.1 -> 1\n1.2 -> 2\n2 -> 2", "image words are not distinct", 2
+    ),
+    "repeats": ("vn 2\n1 -> 1\n2 -> 1", "image words are not distinct", 1),
+    "incomplete": (
+        "vn 2\n1 -> 1.1\n2 -> 1.2",
+        "images are not a partition set: cone measures sum to 1/2, expected 1",
+        1,
+    ),
+    "overlapping": (
+        "vn 2\n1 -> 1\n2.1 -> 1.2\n2.2 -> 2",
+        "images are not a partition set: 1 is a proper prefix of 1.2",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message, kept", IMAGE_FAILURES.values(), ids=IMAGE_FAILURES)
+def test_failed_image_sets_keep_their_errors_and_stay_out_of_the_memo(text, message, kept):
+    """The image set goes straight to the partition memo; repeats are looked
+    for only when it fails, and are reported first.  A failed set is not
+    memoized: parsing the text again misses on its image set once more."""
+    clear_parse_memos()
+    parse_element("vn 2\n1 -> 2\n2 -> 1")
+    memo = element_module._memo_partition
+    for _ in range(2):
+        misses = memo.cache_info().misses
+        assert outcome(parse_element, text) == (NotABijectionError, message)
+        assert outcome(naive_tuple_parse_element, text) == (NotABijectionError, message)
+    assert memo.cache_info().misses == misses + 1
+    assert memo.cache_info().currsize == kept
 
 
 # Each sequence is parsed in order on empty memos; every text must give

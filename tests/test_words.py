@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     W,
+    naive_format_element,
     naive_parse_word,
     naive_random_leaves,
     outcome,
@@ -20,7 +21,10 @@ from vncalc.errors import (
     MalformedWordError,
     NotAPartitionError,
 )
+from vncalc import element as element_module
 from vncalc import words as words_module
+from vncalc.constructions import embed, sigma_dot
+from vncalc.element import format_element, random_element
 from vncalc.words import (
     Alphabet,
     PartitionSet,
@@ -77,7 +81,8 @@ def test_word_parse_matches_the_regular_expression_oracle(text):
 
 
 def test_word_memos_stay_bounded():
-    """The join memo keeps at most _MEMO_SIZE words; longer words skip it."""
+    """The join memo keeps at most _MEMO_SIZE words, and so does
+    format_element's row-text memo; longer words skip both."""
     size, cap = words_module._MEMO_SIZE, words_module._MEMO_LETTERS
     memo = words_module._memo_join
     short = [tuple(int(b) + 1 for b in f"{i:013b}") for i in range(size + 100)]
@@ -94,6 +99,41 @@ def test_word_memos_stay_bounded():
     past_cap = (2,) * (cap + 1)
     assert Word.parse(_text(past_cap)).letters == past_cap
     assert memo.cache_info().misses == misses + 1
+
+    rows = element_module._memo_row_text
+    rows.cache_clear()
+    a2, rng = Alphabet(2), random.Random(0)
+    while rows.cache_info().misses <= size:
+        g = random_element(a2, rng, 40, max_depth=cap)
+        assert format_element(g) == naive_format_element(g)
+    assert rows.cache_info().currsize == size
+    rows.cache_clear()
+    at_cap = embed(Word((1,) * (cap - 1)), sigma_dot(a2))
+    assert format_element(at_cap) == naive_format_element(at_cap)
+    assert rows.cache_info().currsize == len(at_cap.dom)
+    past_cap = embed(Word((1,) * cap), sigma_dot(a2))
+    assert format_element(past_cap) == naive_format_element(past_cap)
+    assert rows.cache_info().currsize == len(at_cap.dom)
+
+
+def test_word_comparisons_follow_the_letter_tuples():
+    """Word compares and hashes as its letter tuple does, ordering included,
+    and leaves comparisons with any other class to that class."""
+    ws = [Word(t) for t in [(), (1,), (1, 1), (1, 2), (2,), (2, 1), (10,)]]
+    for a in ws:
+        for b in ws:
+            x, y = a.letters, b.letters
+            assert (a == b, a != b, a < b, a <= b, a > b, a >= b) == (
+                x == y, x != y, x < y, x <= y, x > y, x >= y
+            )
+        assert hash(a) == hash((a.letters,))
+        assert a != a.letters
+        assert a.__eq__(a.letters) is NotImplemented
+        for method in (a.__lt__, a.__le__, a.__gt__, a.__ge__):
+            assert method(a.letters) is NotImplemented
+        with pytest.raises(TypeError):
+            a < a.letters
+    assert sorted(reversed(ws)) == ws
 
 
 def test_word_prefix_relations():
