@@ -650,15 +650,10 @@ def parse_element(text: str) -> VnElement:
     table a ball file holds, is recognised without the reducer and keeps
     the memo's domain tuple; elements with equal domains share one.
     """
-    lines = list(map(str.strip, text.splitlines()))
-    numbers = range(1, len(lines) + 1)
-    if not all(lines):
-        # Blank lines are skipped, and still counted in the line numbers.
-        numbers = [i for i, ln in zip(numbers, lines) if ln]
-        lines = list(filter(None, lines))
+    lines = [(i, ln) for i, raw in enumerate(text.splitlines(), 1) if (ln := raw.strip())]
     if not lines:
         raise FileFormatError("empty element text")
-    lineno, header = numbers[0], lines[0]
+    lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "vn":
         raise FileFormatError(f"expected 'vn <degree>', got {header!r}", lineno)
@@ -668,7 +663,7 @@ def parse_element(text: str) -> VnElement:
         raise FileFormatError(str(exc), lineno) from exc
     degree = alphabet.degree
     table: dict[Letters, Letters] = {}
-    for lineno, ln in zip(numbers[1:], lines[1:]):
+    for lineno, ln in lines[1:]:
         try:
             w, v, top = _row(ln) if len(ln) > 2 * _MEMO_LETTERS else _memo_row(ln)
             if top > degree:
@@ -676,27 +671,21 @@ def parse_element(text: str) -> VnElement:
         except VnError as exc:
             raise FileFormatError(str(exc), lineno) from exc
         table[w] = v
-    words = tuple(table)
     try:
-        dom, carets = _checked_partition(tuple(sorted(words)), degree)
+        dom, carets = _checked_partition(tuple(sorted(table)), degree)
     except NotAPartitionError as exc:
         raise FileFormatError(f"domain is not a partition set: {exc}") from exc
     if len(table) != len(lines) - 1:
         raise FileFormatError("duplicate domain words")
-    images = tuple(table.values())
-    _check_image_partition(tuple(sorted(images)), degree)
-    # Rows listed in domain order, as format_element writes them, give the
-    # images in domain order without a lookup.
-    img = images if words == dom else tuple(map(table.__getitem__, dom))
+    _check_image_partition(tuple(sorted(table.values())), degree)
+    img = [table[w] for w in dom]
     # The table is canonical, and keeps the memo's domain tuple, unless a
     # caret whose children are all domain words has images v.1..v.n.
     for k in carets:
         v = img[k]
-        if v[-1:] == (1,) and img[k : k + degree] == tuple(
-            [v[:-1] + (i,) for i in alphabet.letters]
-        ):
+        if v[-1:] == (1,) and img[k : k + degree] == [v[:-1] + (i,) for i in alphabet.letters]:
             return _canonical(zip(dom, img), alphabet)
-    return VnElement(alphabet, dom, img)
+    return VnElement(alphabet, dom, tuple(img))
 
 
 def _read_element(path: str, listed_in: str | None = None) -> VnElement:

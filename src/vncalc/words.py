@@ -42,6 +42,7 @@ class Alphabet:
         return range(1, self.degree + 1)
 
 
+@functools.total_ordering
 @dataclass(frozen=True, eq=False, slots=True)
 class Word:
     """A finite (possibly empty) word; letters are 1-based integers.
@@ -55,9 +56,10 @@ class Word:
     derived from valid words (``+``, ``take``, ``drop``, ``parent``) and
     the tables built by the element kernel are wrapped by ``_word``
     without a second check.  Slotted: a ball holds hundreds of thousands
-    of words, and none of them carries an instance dict.  Comparisons are
-    written out on ``letters``: the generated ones build a tuple per call,
-    and sorting tables of words calls them millions of times.
+    of words, and none of them carries an instance dict.  ``==`` and ``<``
+    are written out on ``letters``, the rest derived from them: the
+    generated ones build a tuple per call, and sorting tables of words
+    calls ``<`` millions of times.
     """
 
     letters: tuple[int, ...] = ()
@@ -77,21 +79,6 @@ class Word:
         if other.__class__ is not Word:
             return NotImplemented
         return self.letters < other.letters
-
-    def __le__(self, other):
-        if other.__class__ is not Word:
-            return NotImplemented
-        return self.letters <= other.letters
-
-    def __gt__(self, other):
-        if other.__class__ is not Word:
-            return NotImplemented
-        return self.letters > other.letters
-
-    def __ge__(self, other):
-        if other.__class__ is not Word:
-            return NotImplemented
-        return self.letters >= other.letters
 
     def __hash__(self) -> int:
         # The generated hash, so that sets of words iterate as before.
