@@ -376,9 +376,7 @@ def plan_alpha(base, strategy: str = "greedy") -> AlphaPlan:
 
 
 def base_involutions(
-    alphabet: Alphabet,
-    conjugators: list[VnElement] | None = None,
-    twist_candidates: list[VnElement] | None = None,
+    alphabet: Alphabet, conjugators: list[VnElement] | None = None
 ) -> list[VnElement]:
     """Involutions obtained by conjugating a seed around the group.
 
@@ -393,8 +391,7 @@ def base_involutions(
     seed = compose(embed(Word((1,)), sig), embed(Word((2,)), sig))
     if conjugators is None:
         conjugators = _generator_words(alphabet, max_length=2)
-    if twist_candidates is None:
-        twist_candidates = _generator_words(alphabet, max_length=3)
+    twist_candidates = _generator_words(alphabet, max_length=3)
     twist = None
     for c in twist_candidates:
         if not commutator(seed, conjugate(seed, c)).is_identity():

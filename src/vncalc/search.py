@@ -126,7 +126,9 @@ def _walk(gens: GeneratorSet, radius: int):
     word.  The token that undoes a word's last token is skipped: that
     product is the element of the word's parent, which is already seen, so
     the skip changes neither the items yielded nor their order.  The walk
-    stops early when its caller stops reading.
+    stops early when its caller stops reading, and at the first level that
+    adds nothing: every later level would be empty too, so a finite group
+    ends the walk whatever the radius.
     """
     tokens = gens.tokens()
     # undo[j] is the index of token j's inverse.  The inverse of x is x^-1;
@@ -159,6 +161,8 @@ def _walk(gens: GeneratorSet, radius: int):
                     fresh.append((word + (tok,), cand))
                     fresh_skips.append(undo[j])
                     yield fresh[-1]
+        if not fresh:
+            return
         frontier, skips = fresh, fresh_skips
 
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import product
 
 from .constructions import (
     AlphaPlan,
@@ -27,8 +26,6 @@ from .constructions import (
 )
 from .element import (
     VnElement,
-    _canonical,
-    _image,
     commutator,
     compose,
     conjugate,
@@ -39,6 +36,7 @@ from .element import (
     sign,
 )
 from .errors import LevelTooSmallError, NotVolumePreservingError, ParameterRangeError
+from .search import GeneratorSet, _walk
 from .words import Alphabet, Word
 
 PASS = "PASS"
@@ -215,45 +213,26 @@ class FiniteClosure:
 def enumerate_en_group(gens, level: int | None = None) -> FiniteClosure:
     """Exact closure of volume-preserving generators.
 
-    All generators are expanded to a common level and act there as
-    permutations of the leaf words; the closure of those permutations is
-    the generated group.  The order always divides (n^level)!.
+    The closure is what the breadth-first walk of ``vncalc.search`` reaches
+    from generators named by their index.  Volume-preserving generators
+    permute the leaf words of a common level, so the group is finite and
+    its order divides (n^level)!; no element needs a longer word than that,
+    and the walk ends at its first level that adds nothing.
     """
     gens = list(gens)
-    alphabet = gens[0].alphabet if gens else None
-    if alphabet is None:
-        raise ParameterRangeError("at least one generator is required")
     for idx, g in enumerate(gens):
         if not is_volume_preserving(g):
             raise NotVolumePreservingError(f"generator {idx} is not volume preserving: {g}")
+    group = GeneratorSet.from_dict({str(idx): g for idx, g in enumerate(gens)})
     depth = max(len(w) for g in gens for w in g.dom)
     if level is not None:
         if level < depth:
             raise LevelTooSmallError(f"level {level} is below the deepest generator table {depth}")
         depth = level
-    leaves = list(product(alphabet.letters, repeat=depth))
-    index = {w: i for i, w in enumerate(leaves)}
-    perms = {tuple(index[_image(g, w)] for w in leaves) for g in gens}
-    ident = tuple(range(len(leaves)))
-    closure = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in perms:
-                r = tuple(p[x] for x in q)
-                if r not in closure:
-                    closure.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    assert math.factorial(len(leaves)) % len(closure) == 0
-    # ``product`` yields the leaves in sorted order, so the rows are in
-    # domain order.
-    elements = frozenset(
-        _canonical(zip(leaves, [leaves[x] for x in p]), alphabet)
-        for p in closure
-    )
-    return FiniteClosure(len(closure), depth, elements)
+    bound = math.factorial(group.alphabet.degree ** depth)
+    elements = frozenset(g for _, g in _walk(group, bound))
+    assert bound % len(elements) == 0
+    return FiniteClosure(len(elements), depth, elements)
 
 
 class AbelianImage(Enum):
@@ -272,13 +251,11 @@ def abelianization_image(g: VnElement) -> AbelianImage:
     return AbelianImage.NONTRIVIAL if sign(g) == -1 else AbelianImage.TRIVIAL
 
 
-def verify_involution_suite(
-    alphabet: Alphabet, alpha=None, base_sizes=(1, 2, 3)
-) -> VerificationReport:
+def verify_involution_suite(alphabet: Alphabet, alpha=None) -> VerificationReport:
     """The three generators square to the identity.
 
     With no explicit sequence, spinal elements are built from planned
-    sequences over deterministic involutive bases of the given sizes.
+    sequences over deterministic involutive bases of sizes 1, 2 and 3.
     Passing a sequence with a higher-order entry makes the spinal square
     nontrivial, which this reports as a failure.
     """
@@ -288,7 +265,7 @@ def verify_involution_suite(
     if alpha is not None:
         checks.append(make_s_alpha(alpha, alphabet))
     else:
-        checks.extend(make_s_alpha(plan) for plan in _planned(alphabet, base_sizes))
+        checks.extend(make_s_alpha(plan) for plan in _planned(alphabet))
     for g in checks:
         square = compose(g, g)
         if square != ident:
@@ -314,12 +291,7 @@ def translation_suite(
         for idx, gamma in enumerate(gammas):
             for k in k_values:
                 rep = verify_translation(gamma, k)
-                reports.append(
-                    VerificationReport(
-                        rep.name, f"{rep.params} gamma#{idx}", rep.verdict,
-                        rep.lhs, rep.rhs, rep.reason,
-                    )
-                )
+                reports.append(replace(rep, params=f"{rep.params} gamma#{idx}"))
     return reports
 
 

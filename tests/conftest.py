@@ -34,10 +34,15 @@ a regular expression of ASCII digits, the only spelling the writer uses.
 are the three breadth-first loops as they were before ``vncalc.search``
 ran all of them through one walk, kept as the reference for that walk:
 the same entries, sizes, truncation point and witness words.
+``naive_enumerate_en_group`` is the finite closure as it was before it
+went through that walk: the generators act as permutation tuples of the
+leaves at one level, closed under composition, kept as the reference for
+``vncalc.verify.enumerate_en_group``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections import Counter
@@ -48,22 +53,27 @@ from vncalc.constructions import default_base, make_s_alpha, make_tau, plan_alph
 from vncalc.element import (
     VnElement,
     _canonical,
+    _image,
     _require_same_alphabet,
     compose,
     identity,
+    is_volume_preserving,
 )
 from vncalc.errors import (
     AlphabetMismatchError,
     ArityError,
     FileFormatError,
+    LevelTooSmallError,
     MalformedWordError,
     NotABijectionError,
     NotAPartitionError,
+    NotVolumePreservingError,
     ParameterRangeError,
     VnError,
     WordTooShortError,
 )
 from vncalc.search import Ball, GenWord, GeneratorSet
+from vncalc.verify import FiniteClosure
 from vncalc.words import (
     Alphabet,
     PartitionSet,
@@ -528,6 +538,50 @@ def naive_generator_words(alphabet: Alphabet, max_length: int) -> list[VnElement
                     nxt.append(cand)
         frontier = nxt
     return list(seen)
+
+
+def naive_enumerate_en_group(gens, level: int | None = None) -> FiniteClosure:
+    """Exact closure of volume-preserving generators.
+
+    All generators are expanded to a common level and act there as
+    permutations of the leaf words; the closure of those permutations is
+    the generated group.  The order always divides (n^level)!.
+    """
+    gens = list(gens)
+    alphabet = gens[0].alphabet if gens else None
+    if alphabet is None:
+        raise ParameterRangeError("at least one generator is required")
+    for idx, g in enumerate(gens):
+        if not is_volume_preserving(g):
+            raise NotVolumePreservingError(f"generator {idx} is not volume preserving: {g}")
+    depth = max(len(w) for g in gens for w in g.dom)
+    if level is not None:
+        if level < depth:
+            raise LevelTooSmallError(f"level {level} is below the deepest generator table {depth}")
+        depth = level
+    leaves = list(product(alphabet.letters, repeat=depth))
+    index = {w: i for i, w in enumerate(leaves)}
+    perms = {tuple(index[_image(g, w)] for w in leaves) for g in gens}
+    ident = tuple(range(len(leaves)))
+    closure = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in perms:
+                r = tuple(p[x] for x in q)
+                if r not in closure:
+                    closure.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    assert math.factorial(len(leaves)) % len(closure) == 0
+    # ``product`` yields the leaves in sorted order, so the rows are in
+    # domain order.
+    elements = frozenset(
+        _canonical(zip(leaves, [leaves[x] for x in p]), alphabet)
+        for p in closure
+    )
+    return FiniteClosure(len(closure), depth, elements)
 
 
 def spinal_gens() -> GeneratorSet:

@@ -219,6 +219,19 @@ def test_ball_and_find(tmp_path, capsys):
     assert out.strip() == "NotFound(1)"
 
 
+
+def test_find_in_a_finite_group_ends_at_any_radius(tmp_path, capsys):
+    """{sigma} is exhausted after one level, so a radius of 10^12 ends at once."""
+    (tmp_path / "sigma.elt").write_text(format_element(sigma_dot(A2)) + "\n")
+    (tmp_path / "tau.elt").write_text(format_element(make_tau(A2)) + "\n")
+    manifest = tmp_path / "gens.txt"
+    manifest.write_text("gen sigma sigma.elt\n")
+    code, out, err = run(
+        capsys, "find", "--gens", str(manifest), "--target", str(tmp_path / "tau.elt"),
+        "--radius", "1000000000000",
+    )
+    assert (code, out, err) == (1, "NotFound(1000000000000)\n", "")
+
 def test_dot_output(tmp_path, capsys):
     out_path = tmp_path / "g.dot"
     code, _, _ = run(capsys, "dot", "-n", "2", "-e", "tau", "-o", str(out_path))

@@ -241,6 +241,13 @@ def test_find_not_found_within_radius():
     assert find_element(make_t(A2), sigma_tau_gens(), 1) is None
 
 
+
+def test_find_ends_once_a_level_adds_nothing():
+    """{sigma} is finite, so the walk ends at its first empty level: a search
+    of radius 10^12 composes one product and returns."""
+    gens = GeneratorSet.from_dict({"sigma": sigma_dot(A2)})
+    assert composes_of(find_element, make_tau(A2), gens, 10**12) == (None, 1)
+
 def test_find_prefers_lexicographically_least_word():
     gens = GeneratorSet.from_dict({"a": sigma_dot(A2), "b": sigma_dot(A2)})
     assert find_element(sigma_dot(A2), gens, 3) == ("a",)

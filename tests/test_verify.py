@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import W, tuple_closure
+from conftest import W, naive_enumerate_en_group, tuple_closure
 from vncalc.constructions import (
     default_base,
     dot,
@@ -18,6 +20,7 @@ from vncalc.constructions import (
 )
 from vncalc.element import (
     apply_word,
+    canonicalize,
     commutator,
     compose,
     conjugate,
@@ -28,7 +31,7 @@ from vncalc.element import (
     random_element,
 )
 from vncalc import verify as verify_module
-from vncalc.errors import NotVolumePreservingError
+from vncalc.errors import AlphabetMismatchError, NotVolumePreservingError
 from vncalc.verify import (
     AbelianImage,
     abelianization_image,
@@ -274,6 +277,42 @@ def test_en_closure_order_divides_leaf_factorial():
         result = enumerate_en_group(gens)
         assert math.factorial(2 ** result.level) % result.order == 0
 
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [sigma_dot(A2), sigma_dot(A3)],
+        [sigma_dot(A3), embed(W("1"), sigma_dot(A2))],
+    ],
+    ids=["A2-then-A3", "A3-then-A2-cone"],
+)
+def test_en_closure_refuses_mixed_alphabets(gens):
+    """Generators over two alphabets are refused by index, in the numbering of
+    the volume-preservation error."""
+    with pytest.raises(AlphabetMismatchError, match="^generator 1 uses a different alphabet$"):
+        enumerate_en_group(gens)
+
+
+@st.composite
+def en_cases(draw):
+    """Volume-preserving generators as random leaf permutations at one depth
+    (the identity among them possible), and a closure level: None or one deeper."""
+    n, depth = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (5, 1)]))
+    alphabet = Alphabet(n)
+    leaves = PartitionSet.level(alphabet, depth).words
+    images = draw(st.lists(st.permutations(leaves), min_size=1, max_size=3))
+    gens = [canonicalize(zip(leaves, p), alphabet) for p in images]
+    return gens, draw(st.sampled_from([None, depth + 1]))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(en_cases())
+def test_en_closure_matches_the_leaf_permutation_oracle(case):
+    """The closure from the breadth-first walk has the order, level and
+    elements of the leaf-permutation closure it replaced."""
+    gens, level = case
+    assert enumerate_en_group(gens, level) == naive_enumerate_en_group(gens, level)
 
 # --- abelianization -----------------------------------------------------------------------
 
