@@ -12,16 +12,7 @@ import argparse
 import functools
 import sys
 
-from .constructions import (
-    load_alpha_plan,
-    make_s_alpha,
-    make_t,
-    make_tau,
-    plan_alpha,
-    save_alpha_plan,
-    sidon_generate,
-    sigma_dot,
-)
+from .constructions import format_alpha_plan, plan_alpha, sidon_generate
 from .element import (
     ConeKind,
     _read_element,
@@ -34,7 +25,7 @@ from .element import (
     support,
 )
 from .errors import VnError
-from .expressions import default_env, eval_expression, parse_expression
+from .expressions import NameRef, SpinalFromFile, default_env, eval_expression, parse_expression
 from .render import render_dot
 from .search import find_element, grow_ball, load_generator_manifest, save_ball
 from .verify import SUITE_ALIASES, SUITE_BUILDERS, run_suites
@@ -101,23 +92,14 @@ def cmd_support(args) -> int:
 
 
 def cmd_make(args) -> int:
-    alphabet = Alphabet(args.n)
-    if args.which == "sigma":
-        g = sigma_dot(alphabet)
-    elif args.which == "tau":
-        g = make_tau(alphabet)
-    elif args.which == "t":
-        g = make_t(alphabet)
+    env = default_env(Alphabet(args.n))
+    if args.which != "s":
+        expr = NameRef(args.which)
+    elif args.alpha:
+        expr = SpinalFromFile(args.alpha)
     else:
-        if not args.alpha:
-            raise VnError("make s requires --alpha <plan-file>")
-        plan = load_alpha_plan(args.alpha)
-        if plan.alphabet != alphabet:
-            raise VnError(
-                f"plan degree {plan.alphabet.degree} differs from -n {args.n}"
-            )
-        g = make_s_alpha(plan)
-    _emit(format_element(g) + "\n", args.out)
+        raise VnError("make s requires --alpha <plan-file>")
+    _emit(format_element(eval_expression(expr, env)) + "\n", args.out)
     return 0
 
 
@@ -131,12 +113,7 @@ def cmd_plan(args) -> int:
     base = [_read_element(path) for path in args.base]
     plan = plan_alpha(base, strategy=args.strategy)
     paths = dict(zip(plan.support.sorted_members, args.base))
-    if args.out:
-        save_alpha_plan(plan, args.out, paths)
-    else:
-        print(f"alpha {plan.alphabet.degree} {plan.length}")
-        for k in plan.support.sorted_members:
-            print(f"{k} @ {paths[k]}")
+    _emit(format_alpha_plan(plan, paths), args.out)
     return 0
 
 

@@ -429,8 +429,8 @@ def default_base(alphabet: Alphabet, size: int) -> list[VnElement]:
     return pool[:size]
 
 
-def save_alpha_plan(plan: AlphaPlan, path: str, entry_paths: dict[int, str]) -> None:
-    """Write a plan file: header, then one line per supported index.
+def format_alpha_plan(plan: AlphaPlan, entry_paths: dict[int, str]) -> str:
+    """The text of a plan file: header, then one line per supported index.
 
     ``entry_paths`` maps each supported index to the element file recorded
     for it; unlisted indices are identity by convention.
@@ -441,8 +441,14 @@ def save_alpha_plan(plan: AlphaPlan, path: str, entry_paths: dict[int, str]) -> 
     lines = [f"alpha {plan.alphabet.degree} {plan.length}"]
     for k in plan.support.sorted_members:
         lines.append(f"{k} @ {entry_paths[k]}")
+    return "\n".join(lines) + "\n"
+
+
+def save_alpha_plan(plan: AlphaPlan, path: str, entry_paths: dict[int, str]) -> None:
+    """Write the plan file that ``format_alpha_plan`` describes."""
+    text = format_alpha_plan(plan, entry_paths)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def load_alpha_plan(path: str) -> AlphaPlan:

@@ -418,9 +418,6 @@ class SupportReport:
 
     cones: tuple[SupportCone, ...]
 
-    def of_kind(self, kind: ConeKind) -> tuple[SupportCone, ...]:
-        return tuple(c for c in self.cones if c.kind is kind)
-
 
 def support(g: VnElement) -> SupportReport:
     cones = []

@@ -90,16 +90,14 @@ def evaluate_word(gens: GeneratorSet, word: GenWord) -> VnElement:
 class Ball:
     """All elements within a generator-word radius, with shortest witnesses.
 
-    ``entries`` is in search order (by word length, then lexicographic);
-    ``sizes[r]`` is the number of elements within radius r.  ``manifest``
-    records the generator names and the element files they came from, as
-    provenance only.
+    ``entries`` is in search order (by word length, then lexicographic).
+    ``manifest`` records the generator names and the element files they
+    came from, as provenance only.
     """
 
     alphabet: Alphabet
     radius: int
     entries: tuple[tuple[GenWord, VnElement], ...]
-    sizes: tuple[int, ...]
     truncated: bool
     manifest: tuple[tuple[str, str], ...] = ()
 
@@ -115,6 +113,17 @@ class Ball:
     @functools.cached_property
     def _words(self) -> dict[VnElement, GenWord]:
         return {g: w for w, g in reversed(self.entries)}
+
+    @functools.cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """``sizes[r]`` is the number of elements within radius r, for r in 0..radius.
+
+        Counted from the word lengths the first time it is read; the tuple
+        has ``radius + 1`` entries, so reading it costs O(radius) time and
+        memory, however few elements the ball holds.
+        """
+        lengths = Counter(len(w) for w, _ in self.entries)
+        return tuple(accumulate(lengths[r] for r in range(self.radius + 1)))
 
 
 def _walk(gens: GeneratorSet, radius: int):
@@ -166,12 +175,6 @@ def _walk(gens: GeneratorSet, radius: int):
         frontier, skips = fresh, fresh_skips
 
 
-def _sizes(entries, radius: int) -> tuple[int, ...]:
-    """Number of entries within each radius 0..radius, from the word lengths."""
-    lengths = Counter(len(w) for w, _ in entries)
-    return tuple(accumulate(lengths[r] for r in range(radius + 1)))
-
-
 def grow_ball(
     gens: GeneratorSet,
     radius: int,
@@ -195,7 +198,7 @@ def grow_ball(
     entries = tuple(islice(walk, cap))
     truncated = next(walk, None) is not None
     manifest = tuple(sorted(manifest))
-    return Ball(gens.alphabet, radius, entries, _sizes(entries, radius), truncated, manifest)
+    return Ball(gens.alphabet, radius, entries, truncated, manifest)
 
 
 def find_element(
@@ -230,9 +233,8 @@ def load_ball(path: str) -> Ball:
     Layout: a header ``ball <n> <radius> <count> <truncated>``, optional
     ``gen <name> <file>`` provenance lines, then one block per element (a
     ``word`` line followed by the element's text form), blocks separated
-    by blank lines.  Per-radius sizes are recomputed from word lengths.
-    A file that ``save_ball`` cannot write is refused with the line at
-    fault: a negative radius, or an element listed twice.
+    by blank lines.  A file that ``save_ball`` cannot write is refused
+    with the line at fault: a negative radius, or an element listed twice.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -296,9 +298,7 @@ def load_ball(path: str) -> Ball:
         entries.append((word, g))
     if len(entries) != count:
         raise FileFormatError(f"header says {count} elements, file has {len(entries)}")
-    return Ball(
-        alphabet, radius, tuple(entries), _sizes(entries, radius), bool(trunc), tuple(manifest)
-    )
+    return Ball(alphabet, radius, tuple(entries), bool(trunc), tuple(manifest))
 
 
 def load_generator_manifest(path: str) -> tuple[GeneratorSet, tuple[tuple[str, str], ...]]:

@@ -45,9 +45,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 
 from vncalc.constructions import default_base, make_s_alpha, make_tau, plan_alpha, sigma_dot
 from vncalc.element import (
@@ -376,7 +375,7 @@ def naive_load_ball(path: str) -> Ball:
     Layout: a header ``ball <n> <radius> <count> <truncated>``, optional
     ``gen <name> <file>`` provenance lines, then one block per element (a
     ``word`` line followed by the element's text form), blocks separated
-    by blank lines.  Per-radius sizes are recomputed from word lengths.
+    by blank lines.
     """
     with open(path) as fh:
         raw = fh.read()
@@ -433,9 +432,7 @@ def naive_load_ball(path: str) -> Ball:
         entries.append((word, g))
     if len(entries) != count:
         raise FileFormatError(f"header says {count} elements, file has {len(entries)}")
-    lengths = Counter(len(w) for w, _ in entries)
-    sizes = tuple(accumulate(lengths[r] for r in range(radius + 1)))
-    return Ball(alphabet, radius, tuple(entries), sizes, bool(trunc), tuple(manifest))
+    return Ball(alphabet, radius, tuple(entries), bool(trunc), tuple(manifest))
 
 
 def naive_expand_frontier(frontier, tokens):
@@ -451,8 +448,10 @@ def naive_grow_ball(
     cap: int = 10**6,
     workers: int = 1,
     manifest: tuple[tuple[str, str], ...] = (),
-) -> Ball:
-    """Deduplicated ball of the given radius, deterministically ordered.
+) -> tuple[Ball, tuple[int, ...]]:
+    """Deduplicated ball of the given radius, deterministically ordered,
+    and the number of elements within each radius 0..radius, counted level
+    by level as the ball grows (the reference for ``Ball.sizes``).
 
     Stops early once the cap is reached, marking the ball truncated; the
     retained prefix of the enumeration is still deterministic.  The
@@ -487,14 +486,8 @@ def naive_grow_ball(
         entries.extend(fresh)
         sizes.append(len(entries))
         frontier = fresh
-    return Ball(
-        gens.alphabet,
-        radius,
-        tuple(entries),
-        tuple(sizes),
-        truncated,
-        tuple(sorted(manifest)),
-    )
+    ball = Ball(gens.alphabet, radius, tuple(entries), truncated, tuple(sorted(manifest)))
+    return ball, tuple(sizes)
 
 
 def naive_find_element(

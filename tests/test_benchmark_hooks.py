@@ -27,6 +27,7 @@ import vncalc.constructions as constructions
 import vncalc.element as element
 import vncalc.expressions as expressions
 import vncalc.search as search
+import vncalc.verify as verify
 import vncalc.words as words
 from vncalc.words import Alphabet
 
@@ -111,6 +112,18 @@ def test_ball_grow_is_one_step_per_candidate():
     assert not ball.truncated
     words = ball.sizes[radius - 1]
     assert len(clock.ends) == words * len(gens.tokens()) - (words - 1)
+
+
+@pytest.mark.parametrize("which", ["eq3", "trick"])
+def test_plan_suites_are_one_step_per_check(which):
+    """verify-grid's step clock cuts the eq3 and trick suites at each return
+    from their checks, so each suite must look its check up by module name
+    when it runs: a copy bound at import would escape the clock."""
+    steps = ("verify.verify_s_alpha_conjugation", "verify.verify_commutator_trick")
+    with load_tracer().StepClock(steps) as clock:
+        reports = verify.run_suites(which, (2, 3), kmax=2)
+    assert len(reports) == 18
+    assert len(clock.ends) == len(reports)
 
 
 def test_benchmark_tracer_still_finds_the_cached_entry_points():

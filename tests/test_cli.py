@@ -15,6 +15,7 @@ from vncalc.constructions import (
     make_s_alpha,
     make_tau,
     plan_alpha,
+    save_alpha_plan,
     sigma_dot,
 )
 from vncalc.element import format_element, parse_element
@@ -91,10 +92,12 @@ def test_volume_and_support(capsys):
 
 
 def test_make_generators(capsys):
+    """``make <name>`` prints what ``eval -e <name>`` prints."""
     for which, n in [("sigma", "2"), ("tau", "5"), ("t", "3")]:
         code, out, _ = run(capsys, "make", which, "-n", n)
         assert code == 0
         assert out.startswith(f"vn {n}")
+        assert run(capsys, "eval", "-n", n, "-e", which) == (0, out, "")
 
 
 def test_make_s_requires_alpha(capsys):
@@ -121,9 +124,27 @@ def test_plan_and_make_s(tmp_path, capsys):
     code, _, _ = run(capsys, "plan", "--base", *paths, "-o", str(plan_path))
     assert code == 0
     assert plan_path.read_text().splitlines()[0] == "alpha 2 5"
+    # Printed, written with -o and written by save_alpha_plan: the same bytes.
+    code, printed, _ = run(capsys, "plan", "--base", *paths)
+    assert code == 0
+    saved = tmp_path / "saved.alpha"
+    plan = plan_alpha(base)
+    save_alpha_plan(plan, str(saved), dict(zip(plan.support.sorted_members, paths)))
+    assert printed.encode() == plan_path.read_bytes() == saved.read_bytes()
     code, out, _ = run(capsys, "make", "s", "-n", "2", "--alpha", str(plan_path))
     assert code == 0
-    assert parse_element(out) == make_s_alpha(plan_alpha(base))
+    assert parse_element(out) == make_s_alpha(plan)
+    assert run(capsys, "eval", "-n", "2", "-e", f's("{plan_path}")') == (0, out, "")
+
+
+def test_make_s_with_a_plan_of_another_degree(tmp_path, capsys):
+    """``make s --alpha P`` fails as ``eval -e 's(P)'`` does, with one error line."""
+    (tmp_path / "b.elt").write_text(format_element(default_base(Alphabet(3), 1)[0]) + "\n")
+    plan_path = tmp_path / "plan.alpha"
+    plan_path.write_text("alpha 3 2\n1 @ b.elt\n")
+    made = run(capsys, "make", "s", "-n", "2", "--alpha", str(plan_path))
+    evaluated = run(capsys, "eval", "-n", "2", "-e", f's("{plan_path}")')
+    assert made == evaluated == (1, "", "error: plan degree 3 differs from session degree 2\n")
 
 
 def test_listed_element_files_resolve_beside_their_list(tmp_path, capsys):
@@ -231,6 +252,24 @@ def test_find_in_a_finite_group_ends_at_any_radius(tmp_path, capsys):
         "--radius", "1000000000000",
     )
     assert (code, out, err) == (1, "NotFound(1000000000000)\n", "")
+
+
+def test_ball_in_a_finite_group_ends_at_any_radius(tmp_path, capsys):
+    """The ball's per-radius sizes are not built unless read, so a radius
+    of 10^12 over {sigma} ends after one level too."""
+    (tmp_path / "sigma.elt").write_text(format_element(sigma_dot(A2)) + "\n")
+    manifest = tmp_path / "gens.txt"
+    manifest.write_text("gen sigma sigma.elt\n")
+    out_path = tmp_path / "ball.txt"
+    code, out, err = run(
+        capsys, "ball", "--gens", str(manifest), "--radius", "1000000000000",
+        "--out", str(out_path),
+    )
+    assert (code, out, err) == (
+        0, f"2 elements within radius 1000000000000 -> {out_path}\n", ""
+    )
+    assert out_path.read_text().startswith("ball 2 1000000000000 2 0\n")
+
 
 def test_dot_output(tmp_path, capsys):
     out_path = tmp_path / "g.dot"

@@ -219,11 +219,14 @@ def test_walk_matches_the_naive_ball_and_find_loops(case):
     words = ball.sizes[radius - 1] if radius else 0
     assert calls == words * len(tokens) - max(words - 1, 0)
     for cap in range(1, len(ball) + 2):
-        assert grow_ball(gens, radius, cap=cap) == naive_grow_ball(gens, radius, cap=cap), cap
+        capped = grow_ball(gens, radius, cap=cap)
+        naive, naive_sizes = naive_grow_ball(gens, radius, cap=cap)
+        assert capped == naive, cap
+        assert capped.sizes == naive_sizes, cap
     elements = ball.elements()
     for word, g in ball.entries:
         assert find_element(g, gens, radius) == naive_find_element(g, gens, radius) == word
-    beyond = [g for _, g in naive_grow_ball(gens, radius + 1).entries if g not in elements]
+    beyond = [g for _, g in naive_grow_ball(gens, radius + 1)[0].entries if g not in elements]
     outside = beyond[0] if beyond else random_element(gens.alphabet, random.Random(0), 6)
     assert outside not in elements
     assert find_element(outside, gens, radius) is naive_find_element(outside, gens, radius) is None

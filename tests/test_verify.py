@@ -280,17 +280,21 @@ def test_en_closure_order_divides_leaf_factorial():
 
 
 @pytest.mark.parametrize(
-    "gens",
+    "gens, first",
     [
-        [sigma_dot(A2), sigma_dot(A3)],
-        [sigma_dot(A3), embed(W("1"), sigma_dot(A2))],
+        ([sigma_dot(A2), sigma_dot(A3)], 1),
+        ([sigma_dot(A3), embed(W("1"), sigma_dot(A2))], 1),
+        ([sigma_dot(A3) if i in (2, 10) else sigma_dot(A2) for i in range(12)], 2),
     ],
-    ids=["A2-then-A3", "A3-then-A2-cone"],
+    ids=["A2-then-A3", "A3-then-A2-cone", "twelve-with-A3-at-2-and-10"],
 )
-def test_en_closure_refuses_mixed_alphabets(gens):
+def test_en_closure_refuses_mixed_alphabets(gens, first):
     """Generators over two alphabets are refused by index, in the numbering of
-    the volume-preservation error."""
-    with pytest.raises(AlphabetMismatchError, match="^generator 1 uses a different alphabet$"):
+    the volume-preservation error: the first mismatch in index order, also
+    where the names sort otherwise ("10" before "2")."""
+    with pytest.raises(
+        AlphabetMismatchError, match=f"^generator {first} uses a different alphabet$"
+    ):
         enumerate_en_group(gens)
 
 
