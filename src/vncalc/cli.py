@@ -39,7 +39,7 @@ def _eval_arg(args) -> "VnElement":
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -23,6 +23,7 @@ from .errors import (
 from .element import (
     VnElement,
     _canonical,
+    _open_text,
     _read_element,
     _table_letters,
     commutator,
@@ -447,13 +448,13 @@ def format_alpha_plan(plan: AlphaPlan, entry_paths: dict[int, str]) -> str:
 def save_alpha_plan(plan: AlphaPlan, path: str, entry_paths: dict[int, str]) -> None:
     """Write the plan file that ``format_alpha_plan`` describes."""
     text = format_alpha_plan(plan, entry_paths)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def load_alpha_plan(path: str) -> AlphaPlan:
     """Read a plan file; element paths resolve relative to the file."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         raw = fh.read()
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw.splitlines())]
     lines = [(i, ln) for i, ln in lines if ln]

@@ -10,6 +10,7 @@ correctly.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import random
@@ -691,5 +692,19 @@ def _read_element(path: str, listed_in: str | None = None) -> VnElement:
     path is kept as it is."""
     if listed_in is not None:
         path = os.path.join(os.path.dirname(os.path.abspath(listed_in)), path)
-    with open(path) as fh:
+    with _open_text(path) as fh:
         return parse_element(fh.read())
+
+
+@contextlib.contextmanager
+def _open_text(path: str):
+    """Open a file for reading as UTF-8 text.  A read in the ``with`` body
+    that meets bytes which are not UTF-8 raises FileFormatError, not
+    UnicodeDecodeError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(
+                f"not UTF-8 text: {path}: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+            ) from exc

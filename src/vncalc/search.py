@@ -14,10 +14,11 @@ import functools
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, chain, islice
 
 from .element import (
     VnElement,
+    _open_text,
     _read_element,
     compose,
     format_element,
@@ -106,13 +107,6 @@ class Ball:
 
     def elements(self) -> dict[VnElement, GenWord]:
         return {g: w for w, g in self.entries}
-
-    def word_for(self, g: VnElement) -> GenWord | None:
-        return self._words.get(g)
-
-    @functools.cached_property
-    def _words(self) -> dict[VnElement, GenWord]:
-        return {g: w for w, g in reversed(self.entries)}
 
     @functools.cached_property
     def sizes(self) -> tuple[int, ...]:
@@ -213,18 +207,42 @@ def find_element(
 
 
 def save_ball(ball: Ball, path: str) -> None:
-    """Write the ball file; see load_ball for the layout."""
-    parts = [
-        f"ball {ball.alphabet.degree} {ball.radius} {len(ball.entries)} "
-        f"{1 if ball.truncated else 0}"
-    ]
-    parts.extend(f"gen {name} {src}" for name, src in sorted(ball.manifest))
-    for word, g in ball.entries:
-        parts.append("")
-        parts.append(("word " + " ".join(word)) if word else "word")
-        parts.append(format_element(g))
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    """Write the ball file, one element block at a time; see load_ball for
+    the layout."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"ball {ball.alphabet.degree} {ball.radius} {len(ball.entries)} "
+            f"{1 if ball.truncated else 0}\n"
+        )
+        for name, src in sorted(ball.manifest):
+            fh.write(f"gen {name} {src}\n")
+        for word, g in ball.entries:
+            fh.write(f"\n{' '.join(('word', *word))}\n{format_element(g)}\n")
+
+
+# Characters read at a time by load_ball.  It holds one chunk's lines and
+# one element block at a time, never the whole file.
+_CHUNK_CHARS = 1 << 16
+
+# Every character at which str.splitlines ends a line.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _line_chunks(fh):
+    """The lines of a text file, one list per chunk read, split exactly
+    where ``str.splitlines`` splits the whole text.
+
+    A line that a chunk edge cuts is carried into the next chunk.  The file
+    is read with universal newlines, so ``\r\n`` arrives as ``\n`` and no
+    edge can fall inside a two-character line break.
+    """
+    carry = ""
+    while chunk := fh.read(_CHUNK_CHARS):
+        lines = (carry + chunk).splitlines()
+        carry = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
+        yield lines
+    if carry:
+        yield [carry]
 
 
 def load_ball(path: str) -> Ball:
@@ -235,15 +253,22 @@ def load_ball(path: str) -> Ball:
     ``word`` line followed by the element's text form), blocks separated
     by blank lines.  A file that ``save_ball`` cannot write is refused
     with the line at fault: a negative radius, or an element listed twice.
+    The file is read in chunks, so memory beyond the returned ball stays
+    at a chunk and a block, whatever the file's size.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    with _open_text(path) as fh:
+        return _parse_ball(enumerate(chain.from_iterable(_line_chunks(fh)), start=1))
+
+
+def _parse_ball(lines) -> Ball:
+    """The ball that a file's (line number, line) pairs describe; see load_ball."""
+    _, header = next(lines, (0, None))
+    if header is None:
         raise FileFormatError("empty ball file")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 5 or head[0] != "ball":
         raise FileFormatError(
-            f"expected 'ball <n> <radius> <count> <truncated>', got {lines[0]!r}", 1
+            f"expected 'ball <n> <radius> <count> <truncated>', got {header!r}", 1
         )
     try:
         alphabet = Alphabet(_parse_int(head[1]))
@@ -255,31 +280,27 @@ def load_ball(path: str) -> Ball:
     if radius < 0:
         raise FileFormatError("radius must be >= 0", 1)
     manifest = []
-    pos = 1
-    while pos < len(lines) and lines[pos].startswith("gen "):
-        fields = lines[pos].split(maxsplit=2)
+    # An empty line stands for the end of the file: a blank line ends no
+    # manifest and starts no block.
+    lineno, line = next(lines, (0, ""))
+    while line.startswith("gen "):
+        fields = line.split(maxsplit=2)
         if len(fields) != 3:
-            raise FileFormatError(f"expected 'gen <name> <file>', got {lines[pos]!r}", pos + 1)
+            raise FileFormatError(f"expected 'gen <name> <file>', got {line!r}", lineno)
         manifest.append((fields[1], fields[2]))
-        pos += 1
+        lineno, line = next(lines, (0, ""))
     entries: list[tuple[GenWord, VnElement]] = []
     first_line: dict[VnElement, int] = {}
-    # Each block is a run of non-blank lines, a word line and then the
-    # element, between two blank lines.
-    blank = [i for i in range(pos, len(lines)) if not lines[i].strip()]
-    for before, end in pairwise([pos - 1, *blank, len(lines)]):
-        start = before + 1
-        if start == end:
-            continue
-        if lines[start] != "word" and not lines[start].startswith("word "):
-            raise FileFormatError(f"expected a 'word' line, got {lines[start]!r}", start + 1)
+
+    def add_block(block: list[str], word_line: int) -> None:
+        if block[0] != "word" and not block[0].startswith("word "):
+            raise FileFormatError(f"expected a 'word' line, got {block[0]!r}", word_line)
         # One string per generator token, shared by every word that uses it.
-        word = tuple(map(sys.intern, lines[start].split()[1:]))
-        word_line = start + 1
+        word = tuple(map(sys.intern, block[0].split()[1:]))
         if len(word) > radius:
             raise FileFormatError(f"word longer than the ball radius {radius}", word_line)
         try:
-            g = parse_element("\n".join(lines[word_line:end]))
+            g = parse_element("\n".join(block[1:]))
         except VnError as exc:
             # The block's line k is file line word_line + k; a defect of the
             # whole table is reported at the word line.
@@ -296,6 +317,18 @@ def load_ball(path: str) -> Ball:
                 f"element already listed for the word at line {first}", word_line
             )
         entries.append((word, g))
+
+    # Each block is a run of non-blank lines, a word line and then the
+    # element, ended by a blank line or by the end of the file.
+    block: list[str] = []
+    for lineno, line in chain([(lineno, line)], lines):
+        if line.strip():
+            block.append(line)
+        elif block:
+            add_block(block, lineno - len(block))
+            block = []
+    if block:
+        add_block(block, lineno + 1 - len(block))
     if len(entries) != count:
         raise FileFormatError(f"header says {count} elements, file has {len(entries)}")
     return Ball(alphabet, radius, tuple(entries), bool(trunc), tuple(manifest))
@@ -303,7 +336,7 @@ def load_ball(path: str) -> Ball:
 
 def load_generator_manifest(path: str) -> tuple[GeneratorSet, tuple[tuple[str, str], ...]]:
     """Read 'gen <name> <element-file>' lines into a generator set."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         lines = fh.read().splitlines()
     named: dict[str, VnElement] = {}
     manifest = []

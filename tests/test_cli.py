@@ -188,6 +188,31 @@ def test_bad_element_file_is_one_error_line(tmp_path, capsys, content, listing, 
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "listing, argv",
+    [
+        (None, ["canon", "{bad}"]),
+        (None, ["ball", "--gens", "{bad}", "--radius", "1", "--out", "{out}"]),
+        ("gen a bad.txt\n", ["ball", "--gens", "{list}", "--radius", "1", "--out", "{out}"]),
+        (None, ["plan", "--base", "{bad}"]),
+        (None, ["eval", "-n", "2", "-e", 's("{bad}")']),
+    ],
+    ids=["element", "manifest", "listed-element", "plan-base", "plan"],
+)
+def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, listing, argv):
+    """Each reader refuses a byte that is not UTF-8 with one error line,
+    naming the file, not with a traceback."""
+    bad, listed = tmp_path / "bad.txt", tmp_path / "list.txt"
+    bad.write_bytes(b"vn 2\n1 -> 2\n2 -> 1\xff\n")
+    if listing is not None:
+        listed.write_text(listing)
+    code, out, err = run(
+        capsys, *(a.format(bad=bad, list=listed, out=tmp_path / "ball.txt") for a in argv)
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: not UTF-8 text: {bad}: byte 0xff (invalid start byte)\n"
+
+
 def test_verify_exit_zero_and_lines(capsys):
     code, out, _ = run(capsys, "verify", "involutions", "-n", "2", "-n", "3")
     assert code == 0

@@ -1,12 +1,17 @@
 """Ball growth, witness words, and the persistence format."""
 
+import functools
+import os
 import random
+import sys
+import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_find_element, naive_grow_ball, spinal_gens
+from conftest import naive_find_element, naive_grow_ball, naive_load_ball, outcome, spinal_gens
 from vncalc.constructions import (
     Permutation,
     default_base,
@@ -17,7 +22,7 @@ from vncalc.constructions import (
     plan_alpha,
     sigma_dot,
 )
-from vncalc import search
+from vncalc import element, search
 from vncalc.element import VnElement, compose, format_element, identity, invert, random_element
 from vncalc.errors import AlphabetMismatchError, FileFormatError, ParameterRangeError
 from vncalc.search import (
@@ -73,8 +78,9 @@ def test_ball_radius_two_counts_noncommuting_products():
     assert len(ball) == 5
     sig, tau = sigma_dot(A2), make_tau(A2)
     assert compose(sig, tau) != compose(tau, sig)
-    assert ball.word_for(compose(sig, tau)) == ("sigma", "tau")
-    assert ball.word_for(compose(tau, sig)) == ("tau", "sigma")
+    elements = ball.elements()
+    assert elements[compose(sig, tau)] == ("sigma", "tau")
+    assert elements[compose(tau, sig)] == ("tau", "sigma")
     assert ball.sizes == (1, 3, 5)
 
 
@@ -374,33 +380,39 @@ def test_load_ball_rejects_repeated_element(tmp_path, text, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize(
-    "block, message",
-    [
-        (
-            "vn 2\n1 -> 2\n2 -> x\n",
-            "line 10: bad element block for word at line 7: bad word syntax 'x'",
-        ),
-        (
-            "vn x\n1 -> 2\n2 -> 1\n",
-            "line 8: bad element block for word at line 7: "
-            "invalid literal for int() with base 10: 'x'",
-        ),
-        (
-            "vn 2\n1 -> 2\n2 -> 2\n",
-            "line 7: bad element block for word at line 7: image words are not distinct",
-        ),
-        (
-            "vn 2\n1 -> 2\n",
-            "line 7: bad element block for word at line 7: "
-            "domain is not a partition set: cone measures sum to 1/2, expected 1",
-        ),
-    ],
-    ids=["bad-word", "bad-header", "repeated-images", "incomplete-domain"],
-)
+# Element blocks that load_ball refuses after BAD_BLOCK_PREFIX, under the
+# word at line 7, with its error.
+BAD_BLOCK_PREFIX = "ball 2 1 2 0\n\nword\nvn 2\neps -> eps\n\nword sigma\n"
+BAD_BLOCKS = [
+    pytest.param(
+        "vn 2\n1 -> 2\n2 -> x\n",
+        "line 10: bad element block for word at line 7: bad word syntax 'x'",
+        id="bad-word",
+    ),
+    pytest.param(
+        "vn x\n1 -> 2\n2 -> 1\n",
+        "line 8: bad element block for word at line 7: "
+        "invalid literal for int() with base 10: 'x'",
+        id="bad-header",
+    ),
+    pytest.param(
+        "vn 2\n1 -> 2\n2 -> 2\n",
+        "line 7: bad element block for word at line 7: image words are not distinct",
+        id="repeated-images",
+    ),
+    pytest.param(
+        "vn 2\n1 -> 2\n",
+        "line 7: bad element block for word at line 7: "
+        "domain is not a partition set: cone measures sum to 1/2, expected 1",
+        id="incomplete-domain",
+    ),
+]
+
+
+@pytest.mark.parametrize("block, message", BAD_BLOCKS)
 def test_load_ball_names_the_file_line_of_a_bad_block(tmp_path, block, message):
     bad = tmp_path / "bad.txt"
-    bad.write_text("ball 2 1 2 0\n\nword\nvn 2\neps -> eps\n\nword sigma\n" + block)
+    bad.write_text(BAD_BLOCK_PREFIX + block)
     with pytest.raises(FileFormatError) as info:
         load_ball(str(bad))
     assert str(info.value) == message
@@ -437,3 +449,151 @@ def test_ball_round_trip_keeps_unsorted_manifest(tmp_path):
     path = tmp_path / "ball.txt"
     save_ball(ball, str(path))
     assert load_ball(str(path)) == ball
+
+
+MANIFEST = (("s", "s.elt"), ("sigma", "sigma.elt"), ("tau", "tau.elt"))
+
+
+@functools.cache
+def ball_text(radius: int) -> str:
+    """The saved ball over {sigma, tau, s} of the given radius, with a manifest."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "ball.txt")
+        save_ball(grow_ball(spinal_gens(), radius, manifest=MANIFEST), path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+# Read sizes for load_ball's chunked reader: every character at a chunk
+# edge, edges that fall at every offset in a line, and edges a few lines apart.
+CHUNK_SIZES = (1, 7, 64)
+
+
+def assert_chunks_match_whole_file_reader(path) -> None:
+    """load_ball gives, at every chunk size, the ball or the error class,
+    text and line that naive_load_ball gives reading the whole file."""
+    expected = outcome(naive_load_ball, str(path))
+    got = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for size in CHUNK_SIZES:
+            mp.setattr(search, "_CHUNK_CHARS", size)
+            got[size] = outcome(load_ball, str(path))
+    assert got == dict.fromkeys(CHUNK_SIZES, expected)
+
+
+def chunk_edge_cases():
+    """Files for the chunked reader, one pytest param each."""
+    text = ball_text(3)
+    gen_line = text.splitlines()[1]
+    cases = {
+        "radius-8": ball_text(8),
+        "crlf": text.replace("\n", "\r\n"),
+        "spaces-separators": text.replace("\n\n", "\n \t \n"),
+        "long-header": text.replace("ball 2 3", "ball" + " " * 150 + "2 3", 1),
+        "long-gen-line": text.replace(gen_line, gen_line + "/" * 150, 1),
+        "long-bad-gen-line": text.replace(gen_line, "gen" + "_" * 150, 1),
+        "no-final-newline": text.rstrip("\n"),
+        "header-only-no-newline": "ball 2 0 0 0",
+        "empty": "",
+    }
+    for ch, name in (("\f", "formfeed"), ("\u2028", "u2028"), ("\x85", "nel")):
+        # Between two rows, and inside a row.
+        cases[f"{name}-between-rows"] = text.replace("\n2 -> ", ch + "2 -> ", 1)
+        cases[f"{name}-inside-a-row"] = text.replace("1 -> ", "1 " + ch + "-> ", 1)
+    for bad in BAD_BLOCKS:
+        cases[f"bad-block-{bad.id}"] = BAD_BLOCK_PREFIX + bad.values[0]
+    return [pytest.param(text, id=name) for name, text in cases.items()]
+
+
+@pytest.mark.parametrize("text", chunk_edge_cases())
+def test_load_ball_reads_across_chunk_edges(tmp_path, text):
+    path = tmp_path / "ball.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert_chunks_match_whole_file_reader(path)
+
+
+# Every line break but \n and \r\n, which the writer uses and universal
+# newlines translate.
+OTHER_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@st.composite
+def mutated_ball_texts(draw):
+    """The radius-2 ball file with up to four line mutations, each of a
+    kind that a chunked reader could split wrongly, and LF or CRLF ends."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lines = ball_text(2).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        i = rng.randrange(len(lines))
+        kind = rng.choice(("break", "spaces", "long", "drop", "duplicate"))
+        if kind == "break":
+            j = rng.randint(0, len(lines[i]))
+            lines[i] = lines[i][:j] + rng.choice(OTHER_BREAKS) + lines[i][j:]
+        elif kind == "spaces":
+            lines.insert(i, rng.choice((" ", "\t", " \t ")))
+        elif kind == "long":
+            # The header or a gen line, stretched past every chunk size.
+            k = rng.choice([k for k, ln in enumerate(lines) if k == 0 or ln.startswith("gen ")])
+            lines[k] = lines[k].replace(" ", " " * rng.randint(2, 80), 1) + "x" * rng.randint(0, 80)
+        elif kind == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    ends = [rng.choice(("\n", "\r\n")) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map("".join, zip(lines, ends)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(mutated_ball_texts())
+def test_load_ball_reads_mutated_files_across_chunk_edges(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("ball") / "ball.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert_chunks_match_whole_file_reader(path)
+
+
+def test_line_breaks_are_where_splitlines_splits():
+    breaks = {ch for ch in map(chr, range(sys.maxunicode + 1)) if len(f"a{ch}b".splitlines()) == 2}
+    assert breaks == set(search._LINE_BREAKS)
+
+
+def test_load_ball_refuses_bytes_that_are_not_utf8(tmp_path):
+    """A bad byte inside a block is refused with a typed error at every chunk size."""
+    path = tmp_path / "ball.txt"
+    path.write_bytes(ball_text(3).encode("utf-8").replace(b"\n1 -> 2\n", b"\n1 -> \xff\n", 1))
+    message = f"not UTF-8 text: {path}: byte 0xff (invalid start byte)"
+    with pytest.MonkeyPatch.context() as mp:
+        for size in (*CHUNK_SIZES, search._CHUNK_CHARS):
+            mp.setattr(search, "_CHUNK_CHARS", size)
+            with pytest.raises(FileFormatError) as info:
+                load_ball(str(path))
+            assert str(info.value) == message
+
+
+def test_ball_io_holds_a_chunk_and_a_block_not_the_file(tmp_path):
+    """Traced allocation of a radius-12 round trip (5,714 elements, a
+    2.1 MB file), with the row memos cleared first.  On Python 3.11,
+    save_ball peaks at 0.8 MB, the row-text memo it fills, and load_ball at
+    1.0 MB beyond the ball it returns.  A writer that joins every line
+    peaked at 7.7 MB, and a reader that splits the whole file at 8.1 MB."""
+    ball = grow_ball(spinal_gens(), 12)
+    path = str(tmp_path / "ball.txt")
+    memos = (element._memo_row_text, element._memo_row, element._memo_partition)
+    for memo in memos:
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_ball(ball, path)
+        save_peak = tracemalloc.get_traced_memory()[1] - before
+        for memo in memos:
+            memo.cache_clear()
+        tracemalloc.reset_peak()
+        loaded = load_ball(path)
+        held, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == ball
+    assert save_peak < 2.5e6
+    assert load_peak - held < 2.5e6
