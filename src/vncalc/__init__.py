@@ -18,10 +18,7 @@ from .words import (
     PartitionSet,
     RationalPoint,
     Word,
-    expand_to_level,
-    is_partition_set,
     point_normalize,
-    refine,
 )
 from .element import (
     VnElement,
@@ -31,7 +28,6 @@ from .element import (
     commutator,
     compose,
     conjugate,
-    equals,
     format_element,
     identity,
     invert,

@@ -182,6 +182,24 @@ def spine_cone(k: int) -> Word:
     return repeat_letter(1, k)
 
 
+def _entries_of(
+    alpha, alphabet: Alphabet | None = None
+) -> tuple[tuple[VnElement, ...], Alphabet]:
+    """The entries and alphabet of a plan or of a sequence of elements.
+
+    A sequence takes the alphabet of its first entry; an empty one takes
+    ``alphabet``, which it then requires.
+    """
+    if isinstance(alpha, AlphaPlan):
+        return alpha.entries, alpha.alphabet
+    entries = tuple(alpha)
+    if entries:
+        return entries, entries[0].alphabet
+    if alphabet is None:
+        raise ParameterRangeError("an alphabet is required for the empty sequence")
+    return entries, alphabet
+
+
 def make_s_alpha(alpha, alphabet: Alphabet | None = None) -> VnElement:
     """Spinal element for a sequence of cone contents.
 
@@ -192,14 +210,7 @@ def make_s_alpha(alpha, alphabet: Alphabet | None = None) -> VnElement:
     as the reference form, in ``verify``; the eq3 suite compares the two
     at k=0.
     """
-    if isinstance(alpha, AlphaPlan):
-        entries, alphabet = alpha.entries, alpha.alphabet
-    else:
-        entries = tuple(alpha)
-        if entries:
-            alphabet = entries[0].alphabet
-        elif alphabet is None:
-            raise ParameterRangeError("an alphabet is required for the empty sequence")
+    entries, alphabet = _entries_of(alpha, alphabet)
     for g in entries:
         if g.alphabet != alphabet:
             raise AlphabetMismatchError("sequence entries use mixed alphabets")
@@ -307,11 +318,7 @@ class AlphaPlan:
 
     @classmethod
     def from_entries(cls, entries, alphabet: Alphabet | None = None) -> AlphaPlan:
-        entries = tuple(entries)
-        if entries:
-            alphabet = entries[0].alphabet
-        elif alphabet is None:
-            raise ParameterRangeError("an alphabet is required for the empty sequence")
+        entries, alphabet = _entries_of(entries, alphabet)
         ell = len(entries)
         for k, g in enumerate(entries, start=1):
             if g.alphabet != alphabet:

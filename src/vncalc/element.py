@@ -83,12 +83,6 @@ class VnElement:
     def pairs(self) -> tuple[Pair, ...]:
         return tuple(zip(map(_word, self.dom), map(_word, self.img)))
 
-    def image_of(self, w: Word) -> Word:
-        i = bisect_left(self.dom, w.letters)
-        if i == len(self.dom) or self.dom[i] != w.letters:
-            raise ParameterRangeError(f"{w} is not a domain word")
-        return _word(self.img[i])
-
     def is_identity(self) -> bool:
         return self.dom == ((),)
 
@@ -329,11 +323,6 @@ def conjugate(g: VnElement, h: VnElement) -> VnElement:
 def commutator(g: VnElement, h: VnElement) -> VnElement:
     """g * h * g^-1 * h^-1."""
     return compose(compose(g, h), compose(invert(g), invert(h)))
-
-
-def equals(g: VnElement, h: VnElement) -> bool:
-    _require_same_alphabet(g, h)
-    return g == h
 
 
 def _image(g: VnElement, w: Letters) -> Letters | None:

@@ -14,7 +14,7 @@ class MalformedWordError(VnError, ValueError):
 
 
 class LevelTooSmallError(VnError, ValueError):
-    """Requested expansion level is below the deepest word of the antichain."""
+    """A requested level is below the deepest word of a generator table."""
 
 
 class NotAPartitionError(VnError, ValueError):

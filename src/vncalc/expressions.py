@@ -300,15 +300,28 @@ def parse_expression(text: str) -> Expr:
 
 @dataclass(frozen=True)
 class EvalEnv:
-    """Name bindings plus the ambient alphabet."""
+    """Name bindings plus the ambient alphabet.
+
+    ``id``, ``sigma``, ``tau`` and ``t`` are bound in every env, below its
+    own bindings, and resolved on lookup: a generator is built only when
+    an expression names it, and then once per alphabet.
+    """
 
     alphabet: Alphabet
     bindings: tuple[tuple[str, VnElement], ...]
 
     def lookup(self, name: str) -> VnElement:
-        if name not in self._by_name:
-            raise ExpressionError(f"unknown name {name!r}")
-        return self._by_name[name]
+        if name in self._by_name:
+            return self._by_name[name]
+        if name == "id":
+            return identity(self.alphabet)
+        if name == "sigma":
+            return sigma_dot(self.alphabet)
+        if name == "tau":
+            return make_tau(self.alphabet)
+        if name == "t":
+            return make_t(self.alphabet)
+        raise ExpressionError(f"unknown name {name!r}")
 
     @functools.cached_property
     def _by_name(self) -> dict[str, VnElement]:
@@ -316,27 +329,8 @@ class EvalEnv:
 
 
 def default_env(alphabet: Alphabet, extra: dict[str, VnElement] | None = None) -> EvalEnv:
-    """``id``, ``sigma``, ``tau`` and ``t``, then the ``extra`` bindings.
-
-    Without ``extra`` the env is built once per alphabet and shared; with
-    it, a new env is built on top and the shared one is left as it is.
-    """
-    if not extra:
-        return _default_env(alphabet)
-    names = dict(_default_env(alphabet).bindings)
-    names.update(extra)
-    return EvalEnv(alphabet, tuple(sorted(names.items())))
-
-
-@functools.cache
-def _default_env(alphabet: Alphabet) -> EvalEnv:
-    names = {
-        "id": identity(alphabet),
-        "sigma": sigma_dot(alphabet),
-        "tau": make_tau(alphabet),
-        "t": make_t(alphabet),
-    }
-    return EvalEnv(alphabet, tuple(sorted(names.items())))
+    """``id``, ``sigma``, ``tau`` and ``t``, then the ``extra`` bindings over them."""
+    return EvalEnv(alphabet, tuple(sorted((extra or {}).items())))
 
 
 def eval_expression(expr: Expr, env: EvalEnv) -> VnElement:

@@ -15,6 +15,7 @@ from enum import Enum
 
 from .constructions import (
     AlphaPlan,
+    _entries_of,
     default_base,
     embed,
     make_s_alpha,
@@ -79,15 +80,6 @@ def _compare(name: str, params: str, lhs: VnElement, rhs: VnElement) -> Verifica
     if lhs == rhs:
         return VerificationReport(name, params, PASS)
     return VerificationReport(name, params, FAIL, lhs=lhs, rhs=rhs)
-
-
-def _entries_of(alpha) -> tuple[tuple[VnElement, ...], Alphabet]:
-    if isinstance(alpha, AlphaPlan):
-        return alpha.entries, alpha.alphabet
-    entries = tuple(alpha)
-    if not entries:
-        raise ParameterRangeError("empty sequences need an explicit alphabet; pass a plan")
-    return entries, entries[0].alphabet
 
 
 def verify_translation(gamma: VnElement, k: int) -> VerificationReport:

@@ -3,26 +3,19 @@
 A word names a cone of the n-ary Cantor set (the clopen set of infinite
 words extending it).  A partition set is a finite, complete, prefix-free
 antichain of words: its cones tile the whole Cantor set.  Completeness is
-always decided by exact rational measure arithmetic, never by floats.
+decided by the integer Kraft sum, never by floats.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
 from operator import attrgetter
 
-from .errors import (
-    AlphabetMismatchError,
-    LevelTooSmallError,
-    MalformedWordError,
-    NotAPartitionError,
-    ParameterRangeError,
-)
+from .errors import MalformedWordError, NotAPartitionError, ParameterRangeError
 
 
 @dataclass(frozen=True, order=True)
@@ -120,9 +113,6 @@ class Word:
 
     def is_proper_prefix_of(self, other: Word) -> bool:
         return len(self.letters) < len(other.letters) and self.is_prefix_of(other)
-
-    def comparable(self, other: Word) -> bool:
-        return self.is_prefix_of(other) or other.is_prefix_of(self)
 
     @staticmethod
     def parse(text: str) -> Word:
@@ -368,87 +358,15 @@ class PartitionSet:
     def max_depth(self) -> int:
         return max(len(w) for w in self.words)
 
-    def measure_total(self) -> Fraction:
-        return sum(
-            (Fraction(1, self.alphabet.degree ** len(w)) for w in self.words),
-            start=Fraction(0),
-        )
-
-
-def is_partition_set(words, alphabet: Alphabet) -> bool:
-    """True iff the words form a complete prefix-free antichain.
-
-    Letters outside the alphabet raise; any other defect returns False.
-    """
-    for w in words:
-        check_letters(w, alphabet)
-    try:
-        PartitionSet.from_words(words, alphabet)
-    except NotAPartitionError:
-        return False
-    return True
-
-
-def refine(a: PartitionSet, b: PartitionSet) -> PartitionSet:
-    """Coarsest common refinement of two partition sets.
-
-    For every prefix-comparable pair the longer word survives; the result
-    is again a partition set, refined by both inputs.
-    """
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatchError(f"{a.alphabet} vs {b.alphabet}")
-    out = set()
-    for u in a.words:
-        for v in b.words:
-            if u.is_prefix_of(v):
-                out.add(v)
-            elif v.is_proper_prefix_of(u):
-                out.add(u)
-    return PartitionSet(a.alphabet, tuple(sorted(out)))
-
-
-def expand_to_level(a: PartitionSet, depth: int) -> PartitionSet:
-    """Replace every word by all its descendants at exactly the given depth."""
-    if depth < a.max_depth():
-        raise LevelTooSmallError(
-            f"level {depth} is below the deepest word (length {a.max_depth()})"
-        )
-    out = []
-    for w in a.words:
-        for tail in _cartesian(a.alphabet.letters, repeat=depth - len(w)):
-            out.append(w + _word(tail))
-    return PartitionSet(a.alphabet, tuple(sorted(out)))
-
-
-def format_partition(a: PartitionSet) -> str:
-    """Text form: one word per line, sorted."""
-    return "\n".join(str(w) for w in a.words)
-
-
-def parse_partition(text: str, alphabet: Alphabet) -> PartitionSet:
-    words = [Word.parse(ln) for ln in text.splitlines() if ln.strip()]
-    return PartitionSet.from_words(words, alphabet)
-
-
-def random_partition(
-    alphabet: Alphabet,
-    rng: random.Random,
-    expansions: int,
-    max_depth: int | None = None,
-) -> PartitionSet:
-    """Random partition set built by a fixed number of caret expansions.
-
-    The result has exactly 1 + expansions*(degree-1) words, which makes
-    two partitions grown with the same count directly matchable.
-    """
-    leaves = _random_leaves(alphabet, rng, expansions, max_depth)
-    return PartitionSet(alphabet, tuple(map(_word, leaves)))
-
 
 def _random_leaves(alphabet, rng, expansions, max_depth) -> list[tuple[int, ...]]:
-    """The sorted words of a random partition set, as letter tuples; see ``random_partition``.
+    """The sorted words of a random partition set, as letter tuples, grown by
+    ``expansions`` caret expansions of words shorter than ``max_depth``
+    (``None`` for no bound).
 
-    The words stay sorted throughout: the children of an expanded word
+    The set has exactly 1 + expansions*(degree-1) words, so two sets grown
+    with the same count can be matched as the domain and range of an
+    element.  The words stay sorted throughout: the children of an expanded word
     sort exactly where it stood, since no other word of the antichain
     lies between a word and its descendants.  Each step draws from the
     expandable words in sorted order.

@@ -1,9 +1,9 @@
 """Shared helpers and independent oracles used across the test modules.
 
 The oracles here deliberately avoid the code paths they check: tree
-walking instead of measure sums, brute-force enumeration instead of the
-pairwise refinement rule, inversion counting instead of cycle parity, and
-plain leaf-index permutation tuples instead of element arithmetic.
+walking instead of the Kraft sum, inversion counting instead of cycle
+parity, and plain leaf-index permutation tuples instead of element
+arithmetic.
 ``naive_compose``/``naive_canonicalize`` are the original quadratic
 prefix-scan product and restart-after-every-merge reduction, kept as the
 reference for the bisect-and-stack kernel in ``vncalc.element``.
@@ -13,8 +13,8 @@ kept as the reference for ``embed`` in ``vncalc.constructions``, which
 builds its canonical table directly.  ``naive_random_leaves`` is the original
 random partition loop, which re-sorts the leaves on every expansion.
 ``naive_apply_word`` is the original linear scan over an element's rows,
-kept as the reference for the bisect lookup of ``apply_word`` and
-``VnElement.image_of`` on the letter-tuple storage.
+kept as the reference for the bisect lookup of ``apply_word`` on the
+letter-tuple storage.
 ``naive_parse_word``, ``naive_check_letters``, ``naive_from_words``,
 ``naive_make_element`` and ``naive_parse_element`` are the original
 validate-every-Word parsers and checks, kept as the reference for the
@@ -605,25 +605,6 @@ def tree_complete_oracle(word_list, n: int) -> bool:
             return False
         stack.extend(node + (i,) for i in kids)
     return True
-
-
-def refine_oracle(a: PartitionSet, b: PartitionSet) -> set[Word]:
-    """Minimal-depth words covered by both antichains, by brute force."""
-    n = a.alphabet.degree
-    top = max(a.max_depth(), b.max_depth())
-
-    def covered(w: Word) -> bool:
-        return any(u.is_prefix_of(w) for u in a.words) and any(
-            u.is_prefix_of(w) for u in b.words
-        )
-
-    out = set()
-    for depth in range(top + 1):
-        for tup in product(range(1, n + 1), repeat=depth):
-            w = Word(tup)
-            if covered(w) and (depth == 0 or not covered(Word(tup[:-1]))):
-                out.add(w)
-    return out
 
 
 def parity_by_inversions(perm: list[int]) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vncalc
-from vncalc import cli, element, expressions
+from vncalc import cli, constructions, element, expressions
 from vncalc.cli import build_parser, main
 from vncalc.constructions import (
     default_base,
@@ -98,6 +98,16 @@ def test_make_generators(capsys):
         assert code == 0
         assert out.startswith(f"vn {n}")
         assert run(capsys, "eval", "-n", n, "-e", which) == (0, out, "")
+
+
+def test_eval_builds_only_the_generators_it_names(capsys):
+    """``id`` at a degree of a million prints at once: ``sigma``, ``tau``
+    and ``t`` are built only when an expression names them."""
+    caches = (constructions._sigma_dot, constructions._make_tau, constructions._make_t)
+    before = [cache.cache_info().currsize for cache in caches]
+    code, out, _ = run(capsys, "eval", "-n", "1000000", "-e", "id")
+    assert (code, out) == (0, "vn 1000000\neps -> eps\n")
+    assert [cache.cache_info().currsize for cache in caches] == before
 
 
 def test_make_s_requires_alpha(capsys):

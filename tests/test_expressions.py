@@ -258,7 +258,7 @@ def test_default_env_with_extra_leaves_the_shared_env_unchanged():
     extended = default_env(A2, {"s": s, "t": identity(A2)})
     assert extended.lookup("s") == s
     assert extended.lookup("t") == identity(A2)
-    assert default_env(A2) is shared
+    assert default_env(A2) == shared
     assert shared.bindings == bindings
     assert shared.lookup("t") == make_t(A2)
     with pytest.raises(ExpressionError):

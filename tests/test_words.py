@@ -1,8 +1,7 @@
-"""Words, partition sets, refinement, and eventually periodic points."""
+"""Words, partition sets, and eventually periodic points."""
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,15 +11,10 @@ from conftest import (
     naive_parse_word,
     naive_random_leaves,
     outcome,
-    refine_oracle,
     tree_complete_oracle,
     words,
 )
-from vncalc.errors import (
-    LevelTooSmallError,
-    MalformedWordError,
-    NotAPartitionError,
-)
+from vncalc.errors import MalformedWordError, NotAPartitionError
 from vncalc import element as element_module
 from vncalc import words as words_module
 from vncalc.constructions import embed, sigma_dot
@@ -32,11 +26,7 @@ from vncalc.words import (
     Word,
     _random_leaves,
     _text,
-    expand_to_level,
-    is_partition_set,
     point_normalize,
-    random_partition,
-    refine,
 )
 
 A2 = Alphabet(2)
@@ -141,31 +131,6 @@ def test_word_prefix_relations():
     assert W("1").is_proper_prefix_of(W("1.2"))
     assert not W("1.2").is_prefix_of(W("1"))
     assert W("eps").is_prefix_of(W("2.1"))
-    assert W("1.2").comparable(W("1"))
-    assert not W("1.2").comparable(W("2"))
-
-
-def test_is_partition_set_level_one():
-    assert is_partition_set(words("1", "2"), A2)
-
-
-def test_is_partition_set_one_caret():
-    assert is_partition_set(words("1.1", "1.2", "2"), A2)
-
-
-def test_is_partition_set_incomplete():
-    # Measures 1/2 + 1/4 fall short of 1.
-    assert Fraction(1, 2) + Fraction(1, 4) != 1
-    assert not is_partition_set(words("1", "2.1"), A2)
-
-
-def test_is_partition_set_rejects_prefix_overlap():
-    assert not is_partition_set(words("1", "1.1", "2"), A2)
-
-
-def test_is_partition_set_raises_on_bad_letter():
-    with pytest.raises(MalformedWordError):
-        is_partition_set(words("1", "3"), A2)
 
 
 def test_partition_set_matches_tree_oracle():
@@ -173,13 +138,13 @@ def test_partition_set_matches_tree_oracle():
     for n in (2, 3):
         alphabet = Alphabet(n)
         for _ in range(25):
-            part = random_partition(alphabet, rng, rng.randint(0, 5))
-            assert tree_complete_oracle(part.words, n)
-            assert part.measure_total() == 1
+            part = [Word(w) for w in _random_leaves(alphabet, rng, rng.randint(0, 5), None)]
+            assert tree_complete_oracle(part, n)
+            assert PartitionSet.from_words(part, alphabet).words == tuple(part)
             # Dropping any word breaks completeness.
-            broken = list(part.words)[1:]
-            if broken:
-                assert not is_partition_set(broken, alphabet)
+            if len(part) > 1:
+                with pytest.raises(NotAPartitionError):
+                    PartitionSet.from_words(part[1:], alphabet)
 
 
 @pytest.mark.parametrize("max_depth", [None, 2, 4])
@@ -194,64 +159,6 @@ def test_random_leaves_match_resorting_loop(n, expansions, max_depth):
         got = outcome(_random_leaves, alphabet, rng, expansions, max_depth)
         assert got == outcome(naive_random_leaves, alphabet, ref, expansions, max_depth)
         assert rng.getstate() == ref.getstate()
-
-
-def test_refine_when_one_refines_the_other():
-    a = PartitionSet.from_words(words("1", "2"), A2)
-    b = PartitionSet.from_words(words("1.1", "1.2", "2"), A2)
-    assert refine(a, b).words == b.words
-
-
-def test_refine_mixed():
-    a = PartitionSet.from_words(words("1.1", "1.2", "2"), A2)
-    b = PartitionSet.from_words(words("1", "2.1", "2.2"), A2)
-    assert set(refine(a, b).words) == set(words("1.1", "1.2", "2.1", "2.2"))
-    assert refine_oracle(a, b) == set(refine(a, b).words)
-
-
-def test_refine_idempotent_and_symmetric():
-    rng = random.Random(3)
-    for n in (2, 3):
-        alphabet = Alphabet(n)
-        for _ in range(20):
-            a = random_partition(alphabet, rng, rng.randint(0, 4))
-            b = random_partition(alphabet, rng, rng.randint(0, 4))
-            r = refine(a, b)
-            assert r == refine(b, a)
-            assert refine(a, a) == a
-            assert refine_oracle(a, b) == set(r.words)
-            # Both inputs coarsen the result.
-            for w in r.words:
-                assert any(u.is_prefix_of(w) for u in a.words)
-                assert any(u.is_prefix_of(w) for u in b.words)
-
-
-def test_expand_to_level_basic():
-    a = PartitionSet.from_words(words("1", "2"), A2)
-    assert expand_to_level(a, 2).words == tuple(words("1.1", "1.2", "2.1", "2.2"))
-    b = PartitionSet.from_words(words("1.1", "1.2", "2"), A2)
-    assert expand_to_level(b, 2).words == tuple(words("1.1", "1.2", "2.1", "2.2"))
-
-
-def test_expand_to_level_count_cubed():
-    level1 = PartitionSet.level(A3, 1)
-    assert len(expand_to_level(level1, 3)) == 27
-
-
-def test_expand_to_level_rejects_small_level():
-    a = PartitionSet.from_words(words("1.1", "1.2", "2"), A2)
-    with pytest.raises(LevelTooSmallError):
-        expand_to_level(a, 1)
-
-
-def test_expand_to_level_always_full_level():
-    rng = random.Random(11)
-    for _ in range(15):
-        part = random_partition(A2, rng, rng.randint(0, 4))
-        depth = part.max_depth() + rng.randint(0, 2)
-        expanded = expand_to_level(part, depth)
-        assert expanded == PartitionSet.level(A2, depth)
-        assert is_partition_set(expanded.words, A2)
 
 
 def test_from_words_rejects_incomplete():
@@ -310,11 +217,3 @@ def test_point_parse_round_trip():
     for text in ["eps:1", "2:1", "1.2:3.1"]:
         assert str(RationalPoint.parse(text)) == text
 
-
-def test_partition_text_round_trip():
-    from vncalc.words import format_partition, parse_partition
-
-    part = PartitionSet.from_words(words("1.1", "1.2", "2"), A2)
-    text = format_partition(part)
-    assert text == "1.1\n1.2\n2"
-    assert parse_partition(text, A2) == part
