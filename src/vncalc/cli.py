@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .constructions import format_alpha_plan, plan_alpha, sidon_generate
@@ -83,7 +84,7 @@ def cmd_volume(args) -> int:
 
 
 def cmd_support(args) -> int:
-    for cone in support(_eval_arg(args)).cones:
+    for cone in support(_eval_arg(args)):
         if cone.kind is ConeKind.BOUNDARY:
             print(f"{cone.word} Boundary({cone.fixed_point})")
         else:
@@ -112,8 +113,14 @@ def cmd_sidon(args) -> int:
 def cmd_plan(args) -> int:
     base = [_read_element(path) for path in args.base]
     plan = plan_alpha(base, strategy=args.strategy)
-    paths = dict(zip(plan.support.sorted_members, args.base))
-    _emit(format_alpha_plan(plan, paths), args.out)
+    # Entries are read relative to the plan file, so a plan written into
+    # another directory lists each relative path from there.
+    plan_dir = os.path.abspath(os.path.dirname(args.out or ""))
+    paths = [
+        p if os.path.isabs(p) or plan_dir == os.getcwd() else os.path.relpath(p, plan_dir)
+        for p in args.base
+    ]
+    _emit(format_alpha_plan(plan, dict(zip(plan.support.sorted_members, paths))), args.out)
     return 0
 
 

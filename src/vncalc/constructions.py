@@ -32,7 +32,6 @@ from .element import (
     identity,
     order_bounded,
     power,
-    table_parity,
 )
 from .search import GeneratorSet, _walk
 from .words import Alphabet, Word, _parse_int, check_letters, repeat_letter
@@ -57,10 +56,6 @@ class Permutation:
         return self.images[i - 1]
 
     @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
     def from_cycles(cls, cycles, n: int) -> Permutation:
         images = list(range(1, n + 1))
         seen: set[int] = set()
@@ -74,9 +69,6 @@ class Permutation:
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a - 1] = b
         return cls(tuple(images))
-
-    def parity(self) -> int:
-        return table_parity((i, self(i)) for i in range(1, self.degree + 1))
 
 
 def dot(p: Permutation, alphabet: Alphabet) -> VnElement:
@@ -383,22 +375,19 @@ def plan_alpha(base, strategy: str = "greedy") -> AlphaPlan:
     return AlphaPlan.from_entries(entries, alphabet)
 
 
-def base_involutions(
-    alphabet: Alphabet, conjugators: list[VnElement] | None = None
-) -> list[VnElement]:
+def base_involutions(alphabet: Alphabet) -> list[VnElement]:
     """Involutions obtained by conjugating a seed around the group.
 
     The seed is the product of the level-1 and level-2 cone copies of the
     basic swap, an involution of trivial parity.  A twisting element is
     picked as the first candidate whose conjugate of the seed fails to
     commute with it; the result collects the conjugates of the seed by
-    every supplied conjugator, with and without the twist, deduplicated
-    in first-seen order.
+    every product of up to two factors from {sigma, tau}, with and
+    without the twist, deduplicated in first-seen order.
     """
-    sig, tau = sigma_dot(alphabet), make_tau(alphabet)
+    sig = sigma_dot(alphabet)
     seed = compose(embed(Word((1,)), sig), embed(Word((2,)), sig))
-    if conjugators is None:
-        conjugators = _generator_words(alphabet, max_length=2)
+    conjugators = _generator_words(alphabet, max_length=2)
     twist_candidates = _generator_words(alphabet, max_length=3)
     twist = None
     for c in twist_candidates:

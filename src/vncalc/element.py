@@ -32,8 +32,6 @@ from .errors import (
     WordTooShortError,
 )
 from .words import (
-    _MEMO_LETTERS,
-    _MEMO_SIZE,
     Alphabet,
     PartitionSet,
     RationalPoint,
@@ -85,9 +83,6 @@ class VnElement:
 
     def is_identity(self) -> bool:
         return self.dom == ((),)
-
-    def max_depth(self) -> int:
-        return max(max(map(len, self.dom)), max(map(len, self.img)))
 
     def __mul__(self, other: VnElement) -> VnElement:
         return compose(self, other)
@@ -397,19 +392,14 @@ class SupportCone:
     fixed_point: RationalPoint | None = None
 
 
-@dataclass(frozen=True)
-class SupportReport:
-    """Per-cone classification of where an element moves points.
+def support(g: VnElement) -> tuple[SupportCone, ...]:
+    """Per-cone classification of where an element moves points, one cone
+    per row of its table.
 
     Fixed cones are pointwise fixed, moved cones contain no fixed point,
     and boundary cones contain exactly one (the recorded eventually
     periodic point).
     """
-
-    cones: tuple[SupportCone, ...]
-
-
-def support(g: VnElement) -> SupportReport:
     cones = []
     for w, v in zip(g.dom, g.img):
         cone = _word(w)
@@ -422,7 +412,7 @@ def support(g: VnElement) -> SupportReport:
             # point of the cone is then w.u^infinity.
             u = v[len(w) :] if len(v) > len(w) else w[len(v) :]
             cones.append(SupportCone(cone, ConeKind.BOUNDARY, point_normalize(cone, _word(u))))
-    return SupportReport(tuple(cones))
+    return tuple(cones)
 
 
 def _parity(perm: list[int]) -> int:
@@ -539,9 +529,13 @@ def _row_text(w: Letters, v: Letters) -> str:
 
 
 # Writing is memoized per row: a ball file repeats a few thousand distinct
-# rows over a hundred thousand lines.  Like the word memo, it keeps at most
-# _MEMO_SIZE rows, and a table holding a word of more than _MEMO_LETTERS
-# letters is written row by row without it.
+# rows over a hundred thousand lines.  The memo keeps at most _MEMO_SIZE
+# rows, and a table holding a word of more than _MEMO_LETTERS letters is
+# written row by row without it, so a long power such as t^3000 leaves
+# nothing large behind.  Keys compare as tuples, which is why ``Word``
+# admits only exact ``int`` letters.
+_MEMO_SIZE = 4096
+_MEMO_LETTERS = 32
 _memo_row_text = functools.lru_cache(maxsize=_MEMO_SIZE)(_row_text)
 
 
@@ -563,14 +557,11 @@ def format_element(g: VnElement) -> str:
 # least L + 1 words, so no memoized set holds a word past _MEMO_LETTERS.
 _MEMO_WORDS = _MEMO_LETTERS
 
-
-def _alphabet(degree: str) -> Alphabet:
-    """The alphabet of a ``vn <degree>`` header's degree text."""
-    return Alphabet(_parse_int(degree))
-
-
-# A failed header raises, so this memo holds only alphabets.
-_memo_alphabet = functools.lru_cache(maxsize=64)(_alphabet)
+# Every element read at one degree shares one Alphabet: a ball file holds
+# thousands of elements, and an Alphabet of their own kept the 5,714
+# elements of the radius-12 ball 0.46 MB larger.  A failed header raises,
+# so this memo holds only alphabets.
+_memo_alphabet = functools.lru_cache(maxsize=64)(Alphabet)
 
 
 def _row(text: str) -> tuple[Letters, Letters, int]:
@@ -645,7 +636,7 @@ def parse_element(text: str) -> VnElement:
     if len(parts) != 2 or parts[0] != "vn":
         raise FileFormatError(f"expected 'vn <degree>', got {header!r}", lineno)
     try:
-        alphabet = _memo_alphabet(parts[1])
+        alphabet = _memo_alphabet(_parse_int(parts[1]))
     except ValueError as exc:
         raise FileFormatError(str(exc), lineno) from exc
     degree = alphabet.degree

@@ -130,6 +130,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 MAX_NESTING = 200
 
 
+def _got(text: str | None) -> str:
+    """The token an error met, quoted, or the end of the input."""
+    return "end of input" if text is None else repr(text)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -148,7 +153,7 @@ class _Parser:
     def expect(self, value: str):
         kind, text, where = self.next()
         if text != value:
-            raise ExpressionError(f"expected {value!r}, got {text!r}", where)
+            raise ExpressionError(f"expected {value!r}, got {_got(text)}", where)
 
     def fail(self, message: str):
         raise ExpressionError(message, self.peek()[2])
@@ -201,7 +206,7 @@ class _Parser:
         if kind == "name" and text not in ("dot", "embed", "s"):
             raise ExpressionError(f"unknown constructor {text!r}", where)
         if kind != "name" and text not in ("(", "["):
-            raise ExpressionError(f"expected an atom, got {text!r}", where)
+            raise ExpressionError(f"expected an atom, got {_got(text)}", where)
         depth = self.depth
         self.enter(where)
         if text == "(":
@@ -261,13 +266,13 @@ class _Parser:
         if kind == "name" and text == "eps":
             return Word()
         if kind != "int":
-            raise ExpressionError(f"expected a word, got {text!r}", where)
+            raise ExpressionError(f"expected a word, got {_got(text)}", where)
         letters = [int(text)]
         while self.peek()[1] == ".":
             self.next()
             kind, text, where = self.next()
             if kind != "int":
-                raise ExpressionError(f"expected a letter after '.', got {text!r}", where)
+                raise ExpressionError(f"expected a letter after '.', got {_got(text)}", where)
             letters.append(int(text))
         return Word(tuple(letters))
 
@@ -282,7 +287,7 @@ class _Parser:
             while self.peek()[1] not in (")", None):
                 path += self.next()[1]
         else:
-            raise ExpressionError(f"expected a plan file path, got {text!r}", where)
+            raise ExpressionError(f"expected a plan file path, got {_got(text)}", where)
         self.expect(")")
         return SpinalFromFile(path)
 

@@ -54,9 +54,6 @@ class GeneratorSet:
                 raise AlphabetMismatchError(f"generator {name} uses a different alphabet")
         return cls(alphabet, tuple(items))
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.generators)
-
     def element(self, name: str) -> VnElement:
         return self._by_name[name]
 
@@ -104,9 +101,6 @@ class Ball:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def elements(self) -> dict[VnElement, GenWord]:
-        return {g: w for w, g in self.entries}
 
     @functools.cached_property
     def sizes(self) -> tuple[int, ...]:

@@ -127,29 +127,9 @@ def _word(letters: tuple[int, ...]) -> Word:
     return w
 
 
-# Converting letters to text is memoized: a ball file repeats a few
-# hundred distinct words over a hundred thousand rows.  The memo keeps at
-# most _MEMO_SIZE words, and a word of more than _MEMO_LETTERS letters is
-# converted directly, so a long power such as t^3000 leaves nothing large
-# behind.  Keys compare as tuples, which is why ``Word`` admits only exact
-# ``int`` letters.  ``format_element`` also memoizes whole rows, and
-# reading text is memoized per row, both in ``element``.
-_MEMO_SIZE = 4096
-_MEMO_LETTERS = 32
-
-
-def _join(letters: tuple[int, ...]) -> str:
-    return ".".join(map(str, letters)) if letters else "eps"
-
-
-_memo_join = functools.lru_cache(maxsize=_MEMO_SIZE)(_join)
-
-
 def _text(letters: tuple[int, ...]) -> str:
     """The text form of a letter tuple: ``1.1.2``, or ``eps`` for no letters."""
-    if len(letters) > _MEMO_LETTERS:
-        return _join(letters)
-    return _memo_join(letters)
+    return ".".join(map(str, letters)) if letters else "eps"
 
 
 # Characters that no letter text holds.  ``int`` also reads "+", "_" and

@@ -21,8 +21,8 @@ validate-every-Word parsers and checks, kept as the reference for the
 tuple-level validation in ``vncalc.words`` and ``vncalc.element``: they
 must accept the same tables and raise the same errors, byte for byte.
 ``naive_format_element`` and ``naive_tuple_parse_element`` are the
-element text writer and tuple parser as they were before the word memos
-of ``vncalc.words``: they convert every word text on every row, and are
+element text writer and tuple parser as they were before the text memos
+of ``vncalc.element``: they convert every word text on every row, and are
 kept as the reference for the memoized ``format_element`` and
 ``parse_element``; ``naive_tuple_parse_element`` also checks every
 partition set and runs the reducer on every table.  ``naive_load_ball``
@@ -47,6 +47,8 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+
+from hypothesis import settings
 
 from vncalc.constructions import default_base, make_s_alpha, make_tau, plan_alpha, sigma_dot
 from vncalc.element import (
@@ -83,6 +85,12 @@ from vncalc.words import (
 )
 
 Pair = tuple[Word, Word]
+
+# Every property test runs derandomized, with no example database and no
+# deadline, so that a run is reproducible and a slow host fails none; a
+# test's own ``@settings`` sets only its ``max_examples``.
+settings.register_profile("vncalc", derandomize=True, database=None, deadline=None)
+settings.load_profile("vncalc")
 
 
 def W(text: str) -> Word:

@@ -147,6 +147,25 @@ def test_plan_and_make_s(tmp_path, capsys):
     assert run(capsys, "eval", "-n", "2", "-e", f's("{plan_path}")') == (0, out, "")
 
 
+def test_plan_written_into_a_directory_lists_paths_from_there(tmp_path, capsys, monkeypatch):
+    """``plan -o sub/p.alpha`` from relative base paths writes each entry
+    relative to ``sub``, where ``make s`` reads it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "elts").mkdir()
+    base = default_base(A2, 2)
+    paths = [os.path.join("sub", "b0.elt"), os.path.join("elts", "b1.elt")]
+    for path, g in zip(paths, base):
+        (tmp_path / path).write_text(format_element(g) + "\n")
+    plan_path = os.path.join("sub", "p.alpha")
+    assert run(capsys, "plan", "--base", *paths, "-o", plan_path)[0] == 0
+    entries = [ln.split(" @ ")[1] for ln in (tmp_path / plan_path).read_text().splitlines()[1:]]
+    assert entries == ["b0.elt", os.path.join("..", "elts", "b1.elt")]
+    code, out, err = run(capsys, "make", "s", "-n", "2", "--alpha", plan_path)
+    assert (code, err) == (0, "")
+    assert parse_element(out) == make_s_alpha(plan_alpha(base))
+
+
 def test_make_s_with_a_plan_of_another_degree(tmp_path, capsys):
     """``make s --alpha P`` fails as ``eval -e 's(P)'`` does, with one error line."""
     (tmp_path / "b.elt").write_text(format_element(default_base(Alphabet(3), 1)[0]) + "\n")

@@ -68,11 +68,17 @@ def order3_element(alphabet):
 # --- permutations and level-1 lifts ------------------------------------------
 
 
+def inversion_parity(p: Permutation) -> int:
+    """(-1) to the number of inverted pairs of p's images."""
+    images = p.images
+    return (-1) ** sum(a > b for i, a in enumerate(images) for b in images[i + 1 :])
+
+
 def test_permutation_from_cycles():
     p = Permutation.from_cycles([(1, 2)], 5)
     assert p.images == (2, 1, 3, 4, 5)
-    assert p.parity() == -1
-    assert Permutation.from_cycles([(1, 2, 3)], 3).parity() == 1
+    assert inversion_parity(p) == -1
+    assert inversion_parity(Permutation.from_cycles([(1, 2, 3)], 3)) == 1
 
 
 def test_permutation_rejects_bad_cycles():
@@ -90,7 +96,7 @@ def test_dot_of_swap_in_v5():
 
 
 def test_dot_of_identity_is_identity():
-    assert dot(Permutation.identity(4), Alphabet(4)) == identity(Alphabet(4))
+    assert dot(Permutation((1, 2, 3, 4)), Alphabet(4)) == identity(Alphabet(4))
 
 
 def test_dot_sign_matches_permutation_parity():
@@ -99,7 +105,7 @@ def test_dot_sign_matches_permutation_parity():
         images = list(range(1, 6))
         rng.shuffle(images)
         p = Permutation(tuple(images))
-        assert sign(dot(p, A5)) == p.parity()
+        assert sign(dot(p, A5)) == inversion_parity(p)
 
 
 # --- tau and t -----------------------------------------------------------------
@@ -217,7 +223,7 @@ def embeddings(draw):
     return w, g
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(embeddings())
 def test_embed_matches_naive_oracle(case):
     w, g = case
@@ -228,7 +234,7 @@ def test_embed_matches_naive_oracle(case):
     assert _canonical(zip(e.dom, e.img), e.alphabet) == e
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(embeddings())
 def test_embed_letters_are_the_built_table_size(case):
     """An evaluation charges ``_embed_letters`` before it builds the table."""
@@ -241,7 +247,7 @@ def test_embed_support_stays_in_cone():
     for _ in range(20):
         g = random_element(A2, rng)
         w = W("1.2")
-        for cone in support(embed(w, g)).cones:
+        for cone in support(embed(w, g)):
             if not w.is_prefix_of(cone.word):
                 assert cone.kind is ConeKind.FIXED
 
@@ -313,7 +319,7 @@ def spinal_sequences(draw):
     return alphabet, alpha
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(spinal_sequences())
 def test_spinal_case_table_matches_product_form(case):
     # Entries need not be involutions: the two forms agree for any contents.
@@ -464,7 +470,9 @@ def test_generator_words_match_the_naive_loop(n):
 
 
 def test_base_involutions_with_identity_conjugator_only():
-    out = base_involutions(A2, conjugators=[identity(A2)])
+    """The {sigma, tau} walk yields the identity first, so the first two
+    involutions are the identity conjugator's: the seed and its twist."""
+    out = base_involutions(A2)[:2]
     assert len(out) == 2
     seed, twisted = out
     assert not commutator(seed, twisted).is_identity()

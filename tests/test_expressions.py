@@ -193,7 +193,12 @@ def test_stack_overflow_inside_the_cap_is_an_expression_error():
     [
         ("foo(1)", "unknown constructor 'foo'"),
         ("(t) * 3", "expected an atom, got '3'"),
-        ("t * ", "expected an atom, got None"),
+        ("t * ", "expected an atom, got end of input"),
+        ("(t", "expected ')', got end of input"),
+        ("[t", "expected ',', got end of input"),
+        ("embed(", "expected a word, got end of input"),
+        ("embed(1.", "expected a letter after '.', got end of input"),
+        ("s(", "expected a plan file path, got end of input"),
     ],
 )
 def test_atom_errors(text, message):

@@ -44,6 +44,7 @@ from vncalc.constructions import (
 )
 import vncalc.element as element_module
 from vncalc.element import (
+    _MEMO_LETTERS,
     VnElement,
     _read_element,
     canonicalize,
@@ -64,7 +65,7 @@ from vncalc.errors import (
 )
 from vncalc.search import GeneratorSet, grow_ball, load_ball, save_ball
 from vncalc.verify import enumerate_en_group, run_suites, verify_s_alpha_conjugation
-from vncalc.words import _MEMO_LETTERS, Alphabet, PartitionSet, Word, _random_leaves
+from vncalc.words import Alphabet, PartitionSet, Word, _random_leaves
 
 
 def word_text(letters) -> str:
@@ -101,7 +102,16 @@ def element_rows(draw):
     return degree, rows, rng
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_property_tests_run_derandomized_without_a_database():
+    """The profile conftest loads holds for every property test that sets
+    only its example count."""
+    assert settings.default.derandomize
+    assert settings.default.database is None
+    assert settings.default.deadline is None
+    assert settings(max_examples=7).derandomize
+
+
+@settings(max_examples=40)
 @given(element_rows())
 def test_parsers_match_naive_oracle_on_valid_tables(table):
     degree, rows, rng = table
@@ -157,7 +167,7 @@ KINDS = (
 )
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(element_rows(), st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
 def test_parsers_match_naive_oracle_on_corrupted_tables(table, kinds):
     degree, valid, rng = table
@@ -194,7 +204,7 @@ def checked_canonicalize_oracle(pairs, alphabet: Alphabet):
 WORD_KINDS = [k for k in KINDS if k != "letter 0"]
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(element_rows(), st.lists(st.sampled_from(WORD_KINDS), max_size=3))
 def test_canonicalize_checks_like_the_naive_constructors(table, kinds):
     # With no defect the table is valid and both sides reduce it.
@@ -235,7 +245,7 @@ def garble(text: str, rng: random.Random) -> str:
     return "\n".join(lines)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     deep_elements(),
     st.lists(st.sampled_from(KINDS), max_size=2),
@@ -326,7 +336,7 @@ def test_row_text_memo_matches_the_naive_writer_at_its_length_cap(n, letters):
     not touched.  Both give the naive writer's text, which reads back."""
     alphabet = Alphabet(n)
     g = embed(Word((n,) * (letters - 1)), sigma_dot(alphabet))
-    assert g.max_depth() == letters
+    assert max(map(len, g.dom + g.img)) == letters
     memo = element_module._memo_row_text
     memo.cache_clear()
     text = format_element(g)
@@ -524,7 +534,7 @@ def block_element(lines: list[str], word_line: int) -> VnElement:
     return naive_tuple_parse_element("\n".join(lines[word_line:end]))
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(ball_texts())
 def test_load_ball_matches_line_by_line_reader(tmp_path_factory, text):
     """Same ball, or same error class, text and line, as the reader that
@@ -568,7 +578,7 @@ def word_sets(draw):
     return alphabet, [Word(w) for w in ws]
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(word_sets())
 def test_from_words_matches_naive_oracle(case):
     alphabet, ws = case

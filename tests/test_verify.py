@@ -176,7 +176,7 @@ def test_isolation_gamma_factor_properties():
     gamma = commutator(sig, embed(W("1"), sig))
     assert is_volume_preserving(gamma)
     deep = embed(Word((1,) * (plan.length + 1)), gamma)
-    for cone in support(deep).cones:
+    for cone in support(deep):
         if cone.kind.value != "Fixed":
             assert Word((1,) * (plan.length + 1)).is_prefix_of(cone.word)
 
@@ -310,7 +310,7 @@ def en_cases(draw):
     return gens, draw(st.sampled_from([None, depth + 1]))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(en_cases())
 def test_en_closure_matches_the_leaf_permutation_oracle(case):
     """The closure from the breadth-first walk has the order, level and

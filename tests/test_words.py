@@ -16,7 +16,6 @@ from conftest import (
 )
 from vncalc.errors import MalformedWordError, NotAPartitionError
 from vncalc import element as element_module
-from vncalc import words as words_module
 from vncalc.constructions import embed, sigma_dot
 from vncalc.element import format_element, random_element
 from vncalc.words import (
@@ -25,7 +24,6 @@ from vncalc.words import (
     RationalPoint,
     Word,
     _random_leaves,
-    _text,
     point_normalize,
 )
 
@@ -71,25 +69,8 @@ def test_word_parse_matches_the_regular_expression_oracle(text):
 
 
 def test_word_memos_stay_bounded():
-    """The join memo keeps at most _MEMO_SIZE words, and so does
-    format_element's row-text memo; longer words skip both."""
-    size, cap = words_module._MEMO_SIZE, words_module._MEMO_LETTERS
-    memo = words_module._memo_join
-    short = [tuple(int(b) + 1 for b in f"{i:013b}") for i in range(size + 100)]
-    for letters in short + short[:100]:
-        text = _text(letters)
-        assert text == ".".join(map(str, letters))
-        assert Word.parse(text).letters == letters
-    assert memo.cache_info().currsize == size
-
-    misses = memo.cache_info().misses
-    at_cap = (2,) * cap
-    assert Word.parse(_text(at_cap)).letters == at_cap
-    assert memo.cache_info().misses == misses + 1
-    past_cap = (2,) * (cap + 1)
-    assert Word.parse(_text(past_cap)).letters == past_cap
-    assert memo.cache_info().misses == misses + 1
-
+    """format_element's row-text memo keeps at most _MEMO_SIZE rows."""
+    size, cap = element_module._MEMO_SIZE, element_module._MEMO_LETTERS
     rows = element_module._memo_row_text
     rows.cache_clear()
     a2, rng = Alphabet(2), random.Random(0)
