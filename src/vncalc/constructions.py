@@ -23,6 +23,7 @@ from .errors import (
 from .element import (
     VnElement,
     _canonical,
+    _header,
     _open_text,
     _read_element,
     _table_letters,
@@ -34,7 +35,7 @@ from .element import (
     power,
 )
 from .search import GeneratorSet, _walk
-from .words import Alphabet, Word, _parse_int, check_letters, repeat_letter
+from .words import Alphabet, Word, _parse_int, check_letters
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def _embed_letters(w: Word, g: VnElement) -> int:
 
 def spine_cone(k: int) -> Word:
     """The word 1^k."""
-    return repeat_letter(1, k)
+    return Word((1,) * k)
 
 
 def _entries_of(
@@ -306,7 +307,6 @@ class AlphaPlan:
     entries: tuple[VnElement, ...]
     support: SidonSet
     padding: int
-    top: int
 
     @classmethod
     def from_entries(cls, entries, alphabet: Alphabet | None = None) -> AlphaPlan:
@@ -323,7 +323,6 @@ class AlphaPlan:
         except ParameterRangeError as exc:
             raise PlanInvariantError(str(exc)) from exc
         padding = support.max_difference()
-        top = max(idx) if idx else 0
         for k in range(1, min(padding, ell) + 1):
             if not entries[k - 1].is_identity():
                 raise PlanInvariantError(
@@ -335,7 +334,7 @@ class AlphaPlan:
                 raise PlanInvariantError(
                     f"entry {k} must be trivial within the top padding"
                 )
-        return cls(alphabet, entries, support, padding, top)
+        return cls(alphabet, entries, support, padding)
 
     @property
     def length(self) -> int:
@@ -451,21 +450,13 @@ def save_alpha_plan(plan: AlphaPlan, path: str, entry_paths: dict[int, str]) -> 
 def load_alpha_plan(path: str) -> AlphaPlan:
     """Read a plan file; element paths resolve relative to the file."""
     with _open_text(path) as fh:
-        raw = fh.read()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw.splitlines())]
-    lines = [(i, ln) for i, ln in lines if ln]
+        text = fh.read()
+    lines = [(i, ln) for i, raw in enumerate(text.splitlines(), 1) if (ln := raw.strip())]
     if not lines:
         raise FileFormatError("empty plan file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "alpha":
-        raise FileFormatError(f"expected 'alpha <degree> <length>', got {header!r}", lineno)
-    try:
-        alphabet, ell = Alphabet(_parse_int(parts[1])), _parse_int(parts[2])
-    except ValueError as exc:
-        raise FileFormatError(str(exc), lineno) from exc
+    alphabet, ell = _header(*lines[0], "alpha <degree> <length>")
     if ell < 0:
-        raise FileFormatError("sequence length must be >= 0", lineno)
+        raise FileFormatError("sequence length must be >= 0", lines[0][0])
     entries = [identity(alphabet)] * ell
     filled: set[int] = set()
     for lineno, ln in lines[1:]:

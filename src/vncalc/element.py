@@ -42,13 +42,13 @@ from .words import (
     _parse_letters,
     _random_leaves,
     _text,
-    _word,
     check_letters,
     point_normalize,
 )
 
 Pair = tuple[Word, Word]
 Letters = tuple[int, ...]
+Row = tuple[Letters, Letters]
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,14 +72,14 @@ class VnElement:
 
     @property
     def domain(self) -> PartitionSet:
-        return PartitionSet(self.alphabet, tuple(map(_word, self.dom)))
+        return PartitionSet(self.alphabet, tuple(map(Word, self.dom)))
 
     @property
     def images(self) -> tuple[Word, ...]:
-        return tuple(map(_word, self.img))
+        return tuple(map(Word, self.img))
 
     def pairs(self) -> tuple[Pair, ...]:
-        return tuple(zip(map(_word, self.dom), map(_word, self.img)))
+        return tuple(zip(map(Word, self.dom), map(Word, self.img)))
 
     def is_identity(self) -> bool:
         return self.dom == ((),)
@@ -240,7 +240,7 @@ def compose(g: VnElement, h: VnElement) -> VnElement:
     """
     _require_same_alphabet(g, h)
     g_dom, g_img = g.dom, g.img
-    rows: list[tuple[Letters, Letters]] = []
+    rows: list[Row] = []
     for w, v in zip(h.dom, h.img):
         # When v sorts before g_dom[0], i is -1 and g_dom[-1] is no prefix
         # of v: a prefix of v would sort at or before v.
@@ -347,7 +347,7 @@ def apply_word(g: VnElement, w: Word) -> Word:
         raise WordTooShortError(
             f"word {w} is shorter than the acting table; extend it to length {needed}"
         )
-    return _word(image)
+    return Word(image)
 
 
 def apply_point(g: VnElement, p: RationalPoint) -> RationalPoint:
@@ -356,7 +356,7 @@ def apply_point(g: VnElement, p: RationalPoint) -> RationalPoint:
     if depth == 0:
         return p
     tail = p.drop(depth)
-    head = _word(_image(g, p.prefix(depth).letters))
+    head = Word(_image(g, p.prefix(depth).letters))
     return point_normalize(head + tail.preperiod, tail.period)
 
 
@@ -402,7 +402,7 @@ def support(g: VnElement) -> tuple[SupportCone, ...]:
     """
     cones = []
     for w, v in zip(g.dom, g.img):
-        cone = _word(w)
+        cone = Word(w)
         if w == v:
             cones.append(SupportCone(cone, ConeKind.FIXED))
         elif w[: len(v)] != v and v[: len(w)] != w:
@@ -411,7 +411,7 @@ def support(g: VnElement) -> tuple[SupportCone, ...]:
             # One word properly extends the other by u; the only fixed
             # point of the cone is then w.u^infinity.
             u = v[len(w) :] if len(v) > len(w) else w[len(v) :]
-            cones.append(SupportCone(cone, ConeKind.BOUNDARY, point_normalize(cone, _word(u))))
+            cones.append(SupportCone(cone, ConeKind.BOUNDARY, point_normalize(cone, Word(u))))
     return tuple(cones)
 
 
@@ -452,14 +452,16 @@ def sign(g: VnElement) -> int:
     return table_parity(zip(g.dom, g.img))
 
 
-def _expand_at(pairs: list[Pair], w: Word, alphabet: Alphabet) -> list[Pair]:
+def _expand_at(rows: list[Row], w: Letters, alphabet: Alphabet) -> list[Row]:
+    """The rows with w's row refined by one caret.  Rows in sorted domain
+    order stay sorted: the children of w sort where w stood."""
     out = []
-    for dw, iv in pairs:
+    for dw, iv in rows:
         if dw == w:
-            out.extend((dw.child(i), iv.child(i)) for i in alphabet.letters)
+            out.extend((dw + (i,), iv + (i,)) for i in alphabet.letters)
         else:
             out.append((dw, iv))
-    return sorted(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -480,31 +482,31 @@ def sign_refinement_probe(
     Every single-caret expansion of the canonical table is tried first,
     then ``trials`` random multi-caret refinements.  Returns None when
     all parities agree (guaranteed for odd degree); otherwise the first
-    witness found.
+    witness found.  The refined tables are letter-tuple rows in sorted
+    domain order; only the witness is built of ``Word``s.
     """
-    base_pairs = sorted(g.pairs())
-    base = table_parity(base_pairs)
+    base_rows = list(zip(g.dom, g.img))
+    base = table_parity(base_rows)
 
-    def check(pairs: list[Pair]) -> RefinementWitness | None:
-        p = table_parity(pairs)
+    def check(rows: list[Row]) -> RefinementWitness | None:
+        p = table_parity(rows)
         if p != base:
-            rows = sorted(pairs)
             return RefinementWitness(
-                tuple(w for w, _ in rows), tuple(v for _, v in rows), p, base
+                tuple(Word(w) for w, _ in rows), tuple(Word(v) for _, v in rows), p, base
             )
         return None
 
-    for w in [w for w, _ in base_pairs]:
-        hit = check(_expand_at(base_pairs, w, g.alphabet))
+    for w in g.dom:
+        hit = check(_expand_at(base_rows, w, g.alphabet))
         if hit:
             return hit
     rng = random.Random(seed)
     for _ in range(trials):
-        pairs = list(base_pairs)
+        rows = base_rows
         for _ in range(rng.randint(1, 3)):
-            target = rng.choice(sorted(w for w, _ in pairs))
-            pairs = _expand_at(pairs, target, g.alphabet)
-        hit = check(pairs)
+            target = rng.choice([w for w, _ in rows])
+            rows = _expand_at(rows, target, g.alphabet)
+        hit = check(rows)
         if hit:
             return hit
     return None
@@ -557,11 +559,26 @@ def format_element(g: VnElement) -> str:
 # least L + 1 words, so no memoized set holds a word past _MEMO_LETTERS.
 _MEMO_WORDS = _MEMO_LETTERS
 
-# Every element read at one degree shares one Alphabet: a ball file holds
-# thousands of elements, and an Alphabet of their own kept the 5,714
+# Every file header read at one degree shares one Alphabet: a ball file
+# holds thousands of elements, and an Alphabet of their own kept the 5,714
 # elements of the radius-12 ball 0.46 MB larger.  A failed header raises,
 # so this memo holds only alphabets.
 _memo_alphabet = functools.lru_cache(maxsize=64)(Alphabet)
+
+
+def _header(lineno: int, line: str, form: str) -> list:
+    """``[alphabet, *numbers]`` of a file's header line, which must have the
+    fields of ``form``, such as ``vn <degree>``: its keyword, then a degree
+    and the form's further numbers.  A defect raises ``FileFormatError`` at
+    ``lineno``: a wrong keyword or field count first, then the degree's
+    error, then the first bad later number's."""
+    parts, fields = line.split(), form.split()
+    if len(parts) != len(fields) or parts[0] != fields[0]:
+        raise FileFormatError(f"expected '{form}', got {line!r}", lineno)
+    try:
+        return [_memo_alphabet(_parse_int(parts[1])), *map(_parse_int, parts[2:])]
+    except ValueError as exc:
+        raise FileFormatError(str(exc), lineno) from exc
 
 
 def _row(text: str) -> tuple[Letters, Letters, int]:
@@ -631,14 +648,7 @@ def parse_element(text: str) -> VnElement:
     lines = [(i, ln) for i, raw in enumerate(text.splitlines(), 1) if (ln := raw.strip())]
     if not lines:
         raise FileFormatError("empty element text")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "vn":
-        raise FileFormatError(f"expected 'vn <degree>', got {header!r}", lineno)
-    try:
-        alphabet = _memo_alphabet(_parse_int(parts[1]))
-    except ValueError as exc:
-        raise FileFormatError(str(exc), lineno) from exc
+    [alphabet] = _header(*lines[0], "vn <degree>")
     degree = alphabet.degree
     table: dict[Letters, Letters] = {}
     for lineno, ln in lines[1:]:

@@ -18,6 +18,7 @@ from itertools import accumulate, chain, islice
 
 from .element import (
     VnElement,
+    _header,
     _open_text,
     _read_element,
     compose,
@@ -27,7 +28,7 @@ from .element import (
     parse_element,
 )
 from .errors import AlphabetMismatchError, FileFormatError, ParameterRangeError, VnError
-from .words import Alphabet, _parse_int
+from .words import Alphabet
 
 GenWord = tuple[str, ...]
 
@@ -259,16 +260,7 @@ def _parse_ball(lines) -> Ball:
     _, header = next(lines, (0, None))
     if header is None:
         raise FileFormatError("empty ball file")
-    head = header.split()
-    if len(head) != 5 or head[0] != "ball":
-        raise FileFormatError(
-            f"expected 'ball <n> <radius> <count> <truncated>', got {header!r}", 1
-        )
-    try:
-        alphabet = Alphabet(_parse_int(head[1]))
-        radius, count, trunc = map(_parse_int, head[2:])
-    except ValueError as exc:
-        raise FileFormatError(str(exc), 1) from exc
+    alphabet, radius, count, trunc = _header(1, header, "ball <n> <radius> <count> <truncated>")
     if trunc not in (0, 1):
         raise FileFormatError("truncated flag must be 0 or 1", 1)
     if radius < 0:

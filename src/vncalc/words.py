@@ -8,7 +8,6 @@ decided by the integer Kraft sum, never by floats.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,24 +34,18 @@ class Alphabet:
         return range(1, self.degree + 1)
 
 
-@functools.total_ordering
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Word:
     """A finite (possibly empty) word; letters are 1-based integers.
 
     Text syntax is dot-separated: ``1.1.2``; the empty word prints as
-    ``eps``.  Tuple ordering of the letters gives the lexicographic order
-    used throughout (within an antichain no word prefixes another, so no
-    shortlex subtlety arises).
+    ``eps``.  Words compare and hash as their letter tuples, whose order
+    is the lexicographic order used throughout (within an antichain no
+    word prefixes another, so no shortlex subtlety arises).
 
-    ``Word(letters)`` and ``Word.parse`` validate their letters.  Words
-    derived from valid words (``+``, ``take``, ``drop``, ``parent``) and
-    the tables built by the element kernel are wrapped by ``_word``
-    without a second check.  Slotted: a ball holds hundreds of thousands
-    of words, and none of them carries an instance dict.  ``==`` and ``<``
-    are written out on ``letters``, the rest derived from them: the
-    generated ones build a tuple per call, and sorting tables of words
-    calls ``<`` millions of times.
+    Every ``Word`` checks its letters when it is built.  The package
+    builds them only at its public edge: the element kernel, the renderer
+    and the parity probe work on letter tuples.
     """
 
     letters: tuple[int, ...] = ()
@@ -63,20 +56,6 @@ class Word:
             if type(x) is not int or x < 1:
                 raise MalformedWordError(f"letters must be integers >= 1, got {x!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is not Word:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __lt__(self, other):
-        if other.__class__ is not Word:
-            return NotImplemented
-        return self.letters < other.letters
-
-    def __hash__(self) -> int:
-        # The generated hash, so that sets of words iterate as before.
-        return hash((self.letters,))
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -84,7 +63,7 @@ class Word:
         return iter(self.letters)
 
     def __add__(self, other: Word) -> Word:
-        return _word(self.letters + other.letters)
+        return Word(self.letters + other.letters)
 
     def __str__(self) -> str:
         return _text(self.letters)
@@ -92,20 +71,8 @@ class Word:
     def child(self, letter: int) -> Word:
         return Word(self.letters + (letter,))
 
-    def parent(self) -> Word:
-        if not self.letters:
-            raise MalformedWordError("the empty word has no parent")
-        return _word(self.letters[:-1])
-
     def last(self) -> int:
         return self.letters[-1]
-
-    def drop(self, k: int) -> Word:
-        """Suffix after removing the first k letters."""
-        return _word(self.letters[k:])
-
-    def take(self, k: int) -> Word:
-        return _word(self.letters[:k])
 
     def is_prefix_of(self, other: Word) -> bool:
         """True when self is a (not necessarily proper) prefix of other."""
@@ -116,15 +83,8 @@ class Word:
 
     @staticmethod
     def parse(text: str) -> Word:
-        """Parse ``1.1.2`` or ``eps``; letters are checked here, once."""
-        return _word(_parse_letters(text))
-
-
-def _word(letters: tuple[int, ...]) -> Word:
-    """Wrap letters already known to be integers >= 1, skipping validation."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
-    return w
+        """Parse ``1.1.2`` or ``eps``."""
+        return Word(_parse_letters(text))
 
 
 def _text(letters: tuple[int, ...]) -> str:
@@ -215,11 +175,6 @@ def _check_antichain(ws: list[tuple[int, ...]], degree: int) -> None:
         )
 
 
-def repeat_letter(letter: int, k: int) -> Word:
-    """The word letter^k (k >= 0)."""
-    return Word((letter,) * k)
-
-
 def _primitive_root(per: tuple[int, ...]) -> tuple[int, ...]:
     n = len(per)
     for d in range(1, n + 1):
@@ -256,15 +211,15 @@ class RationalPoint:
         letters = list(self.preperiod.letters)
         while len(letters) < k:
             letters.extend(self.period.letters)
-        return _word(tuple(letters[:k]))
+        return Word(tuple(letters[:k]))
 
     def drop(self, k: int) -> RationalPoint:
         """The point obtained by deleting the first k letters."""
         pre, per = self.preperiod.letters, self.period.letters
         if k <= len(pre):
-            return point_normalize(_word(pre[k:]), _word(per))
+            return point_normalize(Word(pre[k:]), Word(per))
         m = (k - len(pre)) % len(per)
-        return point_normalize(EPS, _word(per[m:] + per[:m]))
+        return point_normalize(EPS, Word(per[m:] + per[:m]))
 
     def __str__(self) -> str:
         return f"{self.preperiod}:{self.period}"
@@ -291,7 +246,7 @@ def point_normalize(pre: Word, per: Word) -> RationalPoint:
     while p and p[-1] == q[-1]:
         p.pop()
         q = [q[-1]] + q[:-1]
-    return RationalPoint(_word(tuple(p)), _word(tuple(q)))
+    return RationalPoint(Word(tuple(p)), Word(tuple(q)))
 
 
 @dataclass(frozen=True)
@@ -323,7 +278,7 @@ class PartitionSet:
     def level(cls, alphabet: Alphabet, depth: int) -> PartitionSet:
         if depth < 0:
             raise ParameterRangeError("depth must be >= 0")
-        ws = tuple(_word(p) for p in _cartesian(alphabet.letters, repeat=depth))
+        ws = tuple(Word(p) for p in _cartesian(alphabet.letters, repeat=depth))
         return cls(alphabet, tuple(sorted(ws)))
 
     def __len__(self) -> int:

@@ -38,6 +38,10 @@ the same entries, sizes, truncation point and witness words.
 went through that walk: the generators act as permutation tuples of the
 leaves at one level, closed under composition, kept as the reference for
 ``vncalc.verify.enumerate_en_group``.
+``naive_render_dot`` and ``naive_sign_refinement_probe`` are the renderer
+and the parity probe as they were when they worked on ``Word``s (the
+element's ``domain``, ``images`` and ``pairs()``), kept as the reference
+for ``vncalc.render`` and ``vncalc.element``, which work on letter tuples.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from hypothesis import settings
 
 from vncalc.constructions import default_base, make_s_alpha, make_tau, plan_alpha, sigma_dot
 from vncalc.element import (
+    RefinementWitness,
     VnElement,
     _canonical,
     _image,
@@ -59,6 +64,7 @@ from vncalc.element import (
     compose,
     identity,
     is_volume_preserving,
+    table_parity,
 )
 from vncalc.errors import (
     AlphabetMismatchError,
@@ -76,6 +82,7 @@ from vncalc.errors import (
 from vncalc.search import Ball, GenWord, GeneratorSet
 from vncalc.verify import FiniteClosure
 from vncalc.words import (
+    EPS,
     Alphabet,
     PartitionSet,
     Word,
@@ -128,7 +135,7 @@ def naive_canonicalize(pairs, alphabet: Alphabet) -> VnElement:
         groups: dict[Word, dict[int, Word]] = {}
         for w in table:
             if len(w):
-                groups.setdefault(w.parent(), {})[w.last()] = table[w]
+                groups.setdefault(Word(w.letters[:-1]), {})[w.last()] = table[w]
         for u in sorted(groups):
             kids = groups[u]
             if len(kids) != n or 1 not in kids:
@@ -136,7 +143,7 @@ def naive_canonicalize(pairs, alphabet: Alphabet) -> VnElement:
             v1 = kids[1]
             if len(v1) == 0 or v1.last() != 1:
                 continue
-            base = v1.parent()
+            base = Word(v1.letters[:-1])
             if all(kids.get(i) == base.child(i) for i in alphabet.letters):
                 for i in alphabet.letters:
                     del table[u.child(i)]
@@ -159,9 +166,9 @@ def naive_compose(g: VnElement, h: VnElement) -> VnElement:
     for w, v in h.pairs():
         for u, z in g_pairs:
             if u.is_prefix_of(v):
-                out.append((w, z + v.drop(len(u))))
+                out.append((w, z + Word(v.letters[len(u) :])))
             elif v.is_proper_prefix_of(u):
-                s = u.drop(len(v))
+                s = Word(u.letters[len(v) :])
                 out.append((w + s, z))
     return naive_canonicalize(out, g.alphabet)
 
@@ -174,7 +181,7 @@ def naive_embed(w: Word, g: VnElement) -> VnElement:
     for k, a in enumerate(w.letters):
         for b in g.alphabet.letters:
             if b != a:
-                s = w.take(k).child(b)
+                s = Word(w.letters[:k]).child(b)
                 pairs.append((s, s))
     return naive_canonicalize(pairs, g.alphabet)
 
@@ -197,11 +204,93 @@ def naive_apply_word(g: VnElement, w: Word) -> Word:
     check_letters(w, g.alphabet)
     for u, z in g.pairs():
         if u.is_prefix_of(w):
-            return z + w.drop(len(u))
+            return z + Word(w.letters[len(u) :])
     needed = max(len(u) for u in g.domain.words if w.is_prefix_of(u))
     raise WordTooShortError(
         f"word {w} is shorter than the acting table; extend it to length {needed}"
     )
+
+
+def naive_prefixes(words) -> list[Word]:
+    seen = {EPS}
+    for w in words:
+        for k in range(1, len(w) + 1):
+            seen.add(Word(w.letters[:k]))
+    return sorted(seen)
+
+
+def naive_node_id(side: str, w: Word) -> str:
+    return f"{side}_eps" if len(w) == 0 else f"{side}_" + "_".join(str(x) for x in w)
+
+
+def naive_tree_lines(side: str, title: str, leaves) -> list[str]:
+    leaf_set = set(leaves)
+    nodes = naive_prefixes(leaves)
+    lines = [f"  subgraph cluster_{side} {{", f'    label="{title}";']
+    for w in nodes:
+        shape = "box" if w in leaf_set else "point"
+        label = f', label="{w}"' if w in leaf_set else ""
+        lines.append(f'    {naive_node_id(side, w)} [shape={shape}{label}];')
+    for w in nodes:
+        if len(w):
+            lines.append(
+                f"    {naive_node_id(side, Word(w.letters[:-1]))} -> {naive_node_id(side, w)};"
+            )
+    lines.append("  }")
+    return lines
+
+
+def naive_render_dot(g: VnElement) -> str:
+    """Deterministic DOT text: domain tree, range tree, dashed leaf matching."""
+    lines = ["digraph tree_pair {", "  rankdir=TB;"]
+    lines += naive_tree_lines("d", "domain", g.domain.words)
+    lines += naive_tree_lines("r", "range", sorted(g.images))
+    for w, v in g.pairs():
+        lines.append(f"  {naive_node_id('d', w)} -> {naive_node_id('r', v)} [style=dashed];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def naive_expand_at(pairs: list[Pair], w: Word, alphabet: Alphabet) -> list[Pair]:
+    out = []
+    for dw, iv in pairs:
+        if dw == w:
+            out.extend((dw.child(i), iv.child(i)) for i in alphabet.letters)
+        else:
+            out.append((dw, iv))
+    return sorted(out)
+
+
+def naive_sign_refinement_probe(
+    g: VnElement, trials: int = 50, seed: int = 0
+) -> RefinementWitness | None:
+    """Search refinements of g's table for a parity flip."""
+    base_pairs = sorted(g.pairs())
+    base = table_parity(base_pairs)
+
+    def check(pairs: list[Pair]) -> RefinementWitness | None:
+        p = table_parity(pairs)
+        if p != base:
+            rows = sorted(pairs)
+            return RefinementWitness(
+                tuple(w for w, _ in rows), tuple(v for _, v in rows), p, base
+            )
+        return None
+
+    for w in [w for w, _ in base_pairs]:
+        hit = check(naive_expand_at(base_pairs, w, g.alphabet))
+        if hit:
+            return hit
+    rng = random.Random(seed)
+    for _ in range(trials):
+        pairs = list(base_pairs)
+        for _ in range(rng.randint(1, 3)):
+            target = rng.choice(sorted(w for w, _ in pairs))
+            pairs = naive_expand_at(pairs, target, g.alphabet)
+        hit = check(pairs)
+        if hit:
+            return hit
+    return None
 
 
 def naive_letters(text: str) -> tuple[int, ...]:
@@ -244,8 +333,8 @@ def naive_from_words(words, alphabet: Alphabet) -> PartitionSet:
     wordset = set(ws)
     for w in ws:
         for k in range(len(w)):
-            if w.take(k) in wordset:
-                raise NotAPartitionError(f"{w.take(k)} is a proper prefix of {w}")
+            if Word(w.letters[:k]) in wordset:
+                raise NotAPartitionError(f"{Word(w.letters[:k])} is a proper prefix of {w}")
     total = sum(
         (Fraction(1, alphabet.degree ** len(w)) for w in ws), start=Fraction(0)
     )

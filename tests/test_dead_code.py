@@ -30,6 +30,9 @@ count and docstrings and comments do not.
 
 The gate fails on a dead definition, on a listed name that is not
 defined, and on a listed name that the program needs without the list.
+Since imports are not uses, it also fails on a name that an import
+statement binds in a package module other than ``__init__.py`` and that
+nothing in that module reads.
 """
 
 import ast
@@ -221,6 +224,25 @@ class Program:
     def dead(self, listed=()) -> set[str]:
         return {f"{m}.{q}" for m, q in self.definitions - self.live(listed)}
 
+    def unused_imports(self) -> set[str]:
+        """``module.name`` for each name that an import statement binds in a
+        module other than ``__init__`` and that no code in the module reads;
+        ``from __future__`` imports bind no name."""
+        unused = set()
+        for module, tree in self.modules.items():
+            if module == "__init__":
+                continue
+            bound, read = set(), set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound |= {a.asname or a.name for a in node.names}
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+            unused |= {f"{module}.{name}" for name in bound - read}
+        return unused
+
 
 class _References(ast.NodeVisitor):
     """The definitions that one piece of code refers to."""
@@ -394,6 +416,35 @@ def test_a_name_that_is_not_a_call_keeps_no_method_alive(tmp_path):
         ),
     )
     assert program.dead() == {"shapes.Tree.level", "shapes.Tree.names", "shapes.Tree.area"}
+
+
+def test_an_import_that_nothing_in_its_module_reads_is_unused(tmp_path):
+    """A dotted import binds its first name, an alias binds the alias, and
+    annotations and f-strings read names; a docstring, a comment, another
+    module's read and the ``__init__`` re-exports do not."""
+    program = sample_program(
+        tmp_path,
+        __init__="from .mod import helper\n",
+        mod=(
+            "from __future__ import annotations\n"
+            '"""Uses functools."""\n'
+            "import functools\n"
+            "import os.path\n"
+            "import re as regex\n"
+            "from itertools import chain, islice\n"
+            "from .other import helper, spare\n"
+            "# islice\n"
+            "def run(xs: os.PathLike) -> list:\n"
+            '    return f"{list(chain(xs))}" + helper()\n'
+        ),
+        other="import functools\ndef helper(): return functools.reduce\ndef spare(): pass\n",
+    )
+    assert program.unused_imports() == {"mod.functools", "mod.regex", "mod.islice", "mod.spare"}
+
+
+def test_every_import_is_read_in_its_module():
+    unused = sorted(Program(PACKAGE).unused_imports())
+    assert not unused, f"nothing in their modules reads these imports; delete them: {unused}"
 
 
 def test_listed_names_keep_their_private_helpers_live():

@@ -11,6 +11,7 @@ from conftest import (
     naive_apply_word,
     naive_canonicalize,
     naive_compose,
+    naive_sign_refinement_probe,
     outcome,
     parity_by_inversions,
     random_volume_preserving,
@@ -581,7 +582,7 @@ def test_apply_point_prefix_consistency():
         q = apply_point(g, p)
         k = 20
         image_prefix = apply_word(g, p.prefix(k + g.domain.max_depth()))
-        assert q.prefix(k) == image_prefix.take(k)
+        assert q.prefix(k) == Word(image_prefix.letters[:k])
 
 
 def test_equals_matches_evaluation_oracle():
@@ -718,6 +719,24 @@ def test_probe_finds_even_degree_witness():
 
 def test_probe_identity_well_defined():
     assert sign_refinement_probe(identity(A2), trials=10) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_probe_matches_the_word_based_probe(n):
+    """Witnesses found by the single-caret pass and by the random
+    refinements, and no witness at all, come out the same."""
+    alphabet = Alphabet(n)
+    rng = random.Random(n)
+    elements = [identity(alphabet), sigma_dot(alphabet)]
+    elements += [random_element(alphabet, rng) for _ in range(30)]
+    random_hits = 0
+    for g in elements:
+        for seed, trials in [(0, 0), (1, 5), (7, 50)]:
+            witness = sign_refinement_probe(g, trials, seed)
+            assert witness == naive_sign_refinement_probe(g, trials, seed)
+            random_hits += witness is not None and len(witness.domain) > len(g.dom) + n - 1
+    if n == 2:
+        assert random_hits, "no witness came from a multi-caret refinement"
 
 
 def test_table_parity_handles_unsorted_pairs():

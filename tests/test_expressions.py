@@ -5,8 +5,10 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import W
+from conftest import W, naive_render_dot
 from vncalc.constructions import (
     default_base,
     dot,
@@ -27,6 +29,7 @@ from vncalc.element import (
     identity,
     invert,
     power,
+    random_element,
 )
 from vncalc.errors import ExpressionError
 from vncalc.expressions import (
@@ -403,6 +406,16 @@ def test_render_parses_and_matches_leaves():
         checker = DotChecker(render_dot(g)).parse()
         dashed = [e for e in checker.edges if e[0].startswith("d_") and e[1].startswith("r_")]
         assert len(dashed) == len(g.domain.words)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_render_matches_the_word_based_renderer(n, expansions, seed):
+    """Up to kernel-products' table size, with no depth bound."""
+    alphabet = Alphabet(n)
+    g = random_element(alphabet, random.Random(seed), expansions, max_depth=None)
+    for h in (identity(alphabet), g):
+        assert render_dot(h) == naive_render_dot(h)
 
 
 def test_render_deterministic():
