@@ -472,7 +472,7 @@ def load_alpha_plan(path: str) -> AlphaPlan:
         if k in filled:
             raise FileFormatError(f"index {k} listed twice", lineno)
         filled.add(k)
-        g = _read_element(right, path)
+        g = _read_element(right, path, lineno)
         if g.alphabet != alphabet:
             raise FileFormatError(
                 f"element at index {k} has degree {g.alphabet.degree}, plan has "

@@ -676,14 +676,25 @@ def parse_element(text: str) -> VnElement:
     return VnElement(alphabet, dom, tuple(img))
 
 
-def _read_element(path: str, listed_in: str | None = None) -> VnElement:
-    """Parse an element file.  A path listed in another file, such as a
-    manifest or a plan, is relative to that file's directory; an absolute
-    path is kept as it is."""
+def _read_element(
+    path: str, listed_in: str | None = None, lineno: int | None = None
+) -> VnElement:
+    """Parse an element file.  A path listed at line ``lineno`` of another
+    file, such as a manifest or a plan, is relative to that file's
+    directory (an absolute path is kept as it is), and a defect of the
+    element it names raises ``FileFormatError`` at that line, naming the
+    path as listed."""
+    full = path
     if listed_in is not None:
-        path = os.path.join(os.path.dirname(os.path.abspath(listed_in)), path)
-    with _open_text(path) as fh:
-        return parse_element(fh.read())
+        full = os.path.join(os.path.dirname(os.path.abspath(listed_in)), path)
+    with _open_text(full) as fh:
+        text = fh.read()
+    try:
+        return parse_element(text)
+    except VnError as exc:
+        if listed_in is None:
+            raise
+        raise FileFormatError(f"{path}: {exc}", lineno) from exc
 
 
 @contextlib.contextmanager

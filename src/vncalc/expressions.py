@@ -98,27 +98,22 @@ class SpinalFromFile(Expr):
 
 
 # The symbol class includes path characters so bare file arguments like
-# s(plans/p.alpha) tokenize; they are meaningful only inside s(...).
+# s(plans/p.alpha) tokenize; they are meaningful only inside s(...).  Any
+# other character but a space is ``bad``, so the matches cover the text up
+# to its trailing spaces.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
-    r'|(?P<string>"[^"]*")|(?P<sym>[*^()\[\],.\-/:~]))'
+    r'|(?P<string>"[^"]*")|(?P<sym>[*^()\[\],.\-/:~])|(?P<bad>\S))'
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # Report the first character after the spaces the match skipped.
-            rest = text[pos:].lstrip()
-            if rest:
-                raise ExpressionError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
-            break
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     return tokens
 
 

@@ -32,8 +32,6 @@ from .words import Alphabet
 
 GenWord = tuple[str, ...]
 
-_INVERSE_SUFFIX = "^-1"
-
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -55,33 +53,32 @@ class GeneratorSet:
                 raise AlphabetMismatchError(f"generator {name} uses a different alphabet")
         return cls(alphabet, tuple(items))
 
-    def element(self, name: str) -> VnElement:
-        return self._by_name[name]
-
     @functools.cached_property
-    def _by_name(self) -> dict[str, VnElement]:
-        return dict(self.generators)
+    def _token_table(self) -> dict[str, tuple[VnElement, str]]:
+        """Each token, in sorted order, with its element and the token of its
+        inverse.  An involution has one token, its name, which is its own
+        inverse; any other generator has two, ``name`` and ``name^-1``, each
+        the other's inverse.  Each generator is inverted once per set."""
+        table = {}
+        for name, g in self.generators:
+            gi = invert(g)
+            inverse = name if gi == g else name + "^-1"
+            # An involution's second entry, holding g itself, replaces its first.
+            table[inverse] = (gi, name)
+            table[name] = (g, inverse)
+        return dict(sorted(table.items()))
 
     def tokens(self) -> tuple[tuple[str, VnElement], ...]:
         """Sorted (token, element) pairs, adding inverses where they differ."""
-        out = []
-        for name, g in self.generators:
-            out.append((name, g))
-            gi = invert(g)
-            if gi != g:
-                out.append((name + _INVERSE_SUFFIX, gi))
-        return tuple(sorted(out))
+        return tuple((tok, g) for tok, (g, _) in self._token_table.items())
 
 
 def evaluate_word(gens: GeneratorSet, word: GenWord) -> VnElement:
     """Product of the named generators, leftmost factor outermost."""
+    table = gens._token_table
     acc = identity(gens.alphabet)
     for token in word:
-        if token.endswith(_INVERSE_SUFFIX):
-            g = invert(gens.element(token[: -len(_INVERSE_SUFFIX)]))
-        else:
-            g = gens.element(token)
-        acc = compose(acc, g)
+        acc = compose(acc, table[token][0])
     return acc
 
 
@@ -129,15 +126,9 @@ def _walk(gens: GeneratorSet, radius: int):
     ends the walk whatever the radius.
     """
     tokens = gens.tokens()
-    # undo[j] is the index of token j's inverse.  The inverse of x is x^-1;
-    # a token with no ^-1 partner is its own inverse, since ``tokens`` adds
-    # x^-1 only where the inverse differs.
+    # undo[j] is the index of token j's inverse.
     index = {tok: j for j, (tok, _) in enumerate(tokens)}
-    undo = list(range(len(tokens)))
-    for j, (tok, _) in enumerate(tokens):
-        if tok.endswith(_INVERSE_SUFFIX):
-            k = index[tok[: -len(_INVERSE_SUFFIX)]]
-            undo[j], undo[k] = k, j
+    undo = [index[inv] for _, inv in gens._token_table.values()]
     frontier = [((), identity(gens.alphabet))]
     # skips[i] is the token that frontier[i] skips: the inverse of its
     # last token, or -1 for the empty word.
@@ -219,25 +210,14 @@ def save_ball(ball: Ball, path: str) -> None:
 # one element block at a time, never the whole file.
 _CHUNK_CHARS = 1 << 16
 
-# Every character at which str.splitlines ends a line.
-_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
 
 def _line_chunks(fh):
     """The lines of a text file, one list per chunk read, split exactly
-    where ``str.splitlines`` splits the whole text.
-
-    A line that a chunk edge cuts is carried into the next chunk.  The file
-    is read with universal newlines, so ``\r\n`` arrives as ``\n`` and no
-    edge can fall inside a two-character line break.
-    """
-    carry = ""
+    where ``str.splitlines`` splits the whole text: each chunk is read on to
+    the end of its line, which universal newlines end only at ``\n``, where
+    ``splitlines`` ends one too; ``\r\n`` arrives as ``\n``."""
     while chunk := fh.read(_CHUNK_CHARS):
-        lines = (carry + chunk).splitlines()
-        carry = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
-        yield lines
-    if carry:
-        yield [carry]
+        yield (chunk + fh.readline()).splitlines()
 
 
 def load_ball(path: str) -> Ball:
@@ -336,6 +316,6 @@ def load_generator_manifest(path: str) -> tuple[GeneratorSet, tuple[tuple[str, s
         name, src = fields[1], fields[2]
         if name in named:
             raise FileFormatError(f"duplicate generator name {name!r}", lineno)
-        named[name] = _read_element(src, path)
+        named[name] = _read_element(src, path, lineno)
         manifest.append((name, src))
     return GeneratorSet.from_dict(named), tuple(manifest)

@@ -281,9 +281,7 @@ def verify_involution_suite(alphabet: Alphabet, alpha=None) -> VerificationRepor
 # Parameter-grid suites; each returns one report per grid point.
 
 
-def translation_suite(
-    degrees=(2, 3, 5), k_values=range(1, 6), count: int = 200, seed: int = 0
-) -> list[VerificationReport]:
+def translation_suite(degrees, k_values, count: int, seed: int) -> list[VerificationReport]:
     reports = []
     for n in degrees:
         alphabet = Alphabet(n)
@@ -307,7 +305,7 @@ def _plan(alphabet: Alphabet, size: int) -> AlphaPlan:
     return plan_alpha(default_base(alphabet, size))
 
 
-def plan_suite(check, degrees=(2, 3, 5), k_values=range(0, 6)) -> list[VerificationReport]:
+def plan_suite(check, degrees, k_values) -> list[VerificationReport]:
     """``check(plan, k)`` for each planned sequence at each degree and each k."""
     reports = []
     for n in degrees:
@@ -317,7 +315,7 @@ def plan_suite(check, degrees=(2, 3, 5), k_values=range(0, 6)) -> list[Verificat
     return reports
 
 
-def isolation_suite(degrees=(2, 3, 5)) -> list[VerificationReport]:
+def isolation_suite(degrees) -> list[VerificationReport]:
     reports = []
     for n in degrees:
         for plan in _planned(Alphabet(n), sizes=(2, 3)):
@@ -328,11 +326,11 @@ def isolation_suite(degrees=(2, 3, 5)) -> list[VerificationReport]:
     return reports
 
 
-def involution_suite(degrees=(2, 3, 4, 5, 6)) -> list[VerificationReport]:
+def involution_suite(degrees) -> list[VerificationReport]:
     return [verify_involution_suite(Alphabet(n)) for n in degrees]
 
 
-def maximal_suite(degrees=(2, 3, 5)) -> list[VerificationReport]:
+def maximal_suite(degrees) -> list[VerificationReport]:
     reports = []
     for n in degrees:
         alphabet = Alphabet(n)
@@ -353,7 +351,7 @@ def maximal_suite(degrees=(2, 3, 5)) -> list[VerificationReport]:
     return reports
 
 
-def en_suite(degrees=(2, 3, 5)) -> list[VerificationReport]:
+def en_suite(degrees) -> list[VerificationReport]:
     reports = []
     for n in degrees:
         alphabet = Alphabet(n)
@@ -374,9 +372,7 @@ def en_suite(degrees=(2, 3, 5)) -> list[VerificationReport]:
     return reports
 
 
-def abelianization_suite(
-    degrees=(2, 3, 4, 5), count: int = 100, seed: int = 0
-) -> list[VerificationReport]:
+def abelianization_suite(degrees, count: int, seed: int) -> list[VerificationReport]:
     reports = []
     for n in degrees:
         alphabet = Alphabet(n)

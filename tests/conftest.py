@@ -42,6 +42,10 @@ leaves at one level, closed under composition, kept as the reference for
 and the parity probe as they were when they worked on ``Word``s (the
 element's ``domain``, ``images`` and ``pairs()``), kept as the reference
 for ``vncalc.render`` and ``vncalc.element``, which work on letter tuples.
+``naive_tokenize`` is the expression tokenizer as it was before it became
+one ``finditer`` pass: it matches one token at a time and, where no token
+matches, strips the spaces by hand to report the first unexpected
+character, kept as the reference for ``vncalc.expressions._tokenize``.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from vncalc.element import (
 from vncalc.errors import (
     AlphabetMismatchError,
     ArityError,
+    ExpressionError,
     FileFormatError,
     LevelTooSmallError,
     MalformedWordError,
@@ -114,6 +119,30 @@ def outcome(fn, *args):
         return "ok", fn(*args)
     except Exception as exc:  # any exception: its class is part of the comparison
         return type(exc), str(exc)
+
+
+# The expression tokens, as the scanning tokenizer matched them.
+_NAIVE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    r'|(?P<string>"[^"]*")|(?P<sym>[*^()\[\],.\-/:~]))'
+)
+
+
+def naive_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _NAIVE_TOKEN_RE.match(text, pos)
+        if m is None:
+            # Report the first character after the spaces the match skipped.
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ExpressionError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+            break
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    return tokens
 
 
 def naive_canonicalize(pairs, alphabet: Alphabet) -> VnElement:

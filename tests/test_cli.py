@@ -242,6 +242,40 @@ def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, listing, ar
     assert err == f"error: not UTF-8 text: {bad}: byte 0xff (invalid start byte)\n"
 
 
+@pytest.mark.parametrize(
+    "listing, argv, lineno",
+    [
+        (
+            "gen a a.elt\ngen b b.elt\n",
+            ["ball", "--gens", "{list}", "--radius", "1", "--out", "{out}"],
+            1,
+        ),
+        (
+            "gen b b.elt\ngen a a.elt\n",
+            ["find", "--gens", "{list}", "--target", "{b}", "--radius", "1"],
+            2,
+        ),
+        ("alpha 2 2\n1 @ b.elt\n\n2 @ a.elt\n", ["make", "s", "-n", "2", "--alpha", "{list}"], 4),
+        ("alpha 2 2\n2 @ a.elt\n", ["eval", "-n", "2", "-e", 's("{list}")'], 2),
+    ],
+    ids=["ball-manifest", "find-manifest", "make-plan", "eval-plan"],
+)
+def test_a_bad_listed_element_names_its_file_at_the_listing_line(
+    tmp_path, capsys, listing, argv, lineno
+):
+    """A defect inside an element file that a manifest or a plan lists is
+    one error line at the listing line, naming the file as listed and the
+    element's own line."""
+    (tmp_path / "a.elt").write_text("vn 2\n1 -> 2\n2 -> x\n")
+    (tmp_path / "b.elt").write_text(format_element(default_base(A2, 1)[0]) + "\n")
+    listed = tmp_path / "list.txt"
+    listed.write_text(listing)
+    paths = {"list": listed, "b": tmp_path / "b.elt", "out": tmp_path / "ball.txt"}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: line {lineno}: a.elt: line 3: bad word syntax 'x'\n"
+
+
 def test_verify_exit_zero_and_lines(capsys):
     code, out, _ = run(capsys, "verify", "involutions", "-n", "2", "-n", "3")
     assert code == 0

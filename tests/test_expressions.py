@@ -2,13 +2,14 @@
 
 import random
 import re
+import string
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import W, naive_render_dot
+from conftest import W, naive_render_dot, naive_tokenize, outcome
 from vncalc.constructions import (
     default_base,
     dot,
@@ -33,6 +34,7 @@ from vncalc.element import (
 )
 from vncalc.errors import ExpressionError
 from vncalc.expressions import (
+    _tokenize,
     CommutatorExpr,
     Conjugation,
     DotLift,
@@ -207,6 +209,22 @@ def test_stack_overflow_inside_the_cap_is_an_expression_error():
 def test_atom_errors(text, message):
     with pytest.raises(ExpressionError, match=re.escape(message)):
         parse_expression(text)
+
+
+# The grammar's characters and spaces, two characters that are both a space
+# and a line break (\x1c, \u2028), a non-breaking space, and characters no
+# token takes: '@', and a letter and a digit outside ASCII.  A '"' may open
+# a string that it never closes.
+TOKENIZER_CHARS = (
+    string.ascii_letters + string.digits + '_*^()[],.-/:~" \t\n\x1c\u2028\xa0@\u00e9\u0662'
+)
+
+
+@settings(max_examples=500)
+@given(st.text(st.sampled_from(TOKENIZER_CHARS), max_size=24))
+def test_tokenizer_matches_the_scanning_tokenizer(text):
+    """The same tokens, or the same error at the same position."""
+    assert outcome(_tokenize, text) == outcome(naive_tokenize, text)
 
 
 def test_sibling_levels_do_not_add_up():

@@ -97,6 +97,28 @@ def test_ball_words_all_evaluate():
         assert evaluate_word(gens, word) == g
 
 
+def test_evaluate_word_reads_the_token_table(monkeypatch):
+    """A generator set inverts each generator once, when its token table is
+    built: evaluate_word then replays every witness of a radius-6 ball,
+    ``t^-1`` tokens included, without inverting anything."""
+    named = {**dict(spinal_gens().generators), "t": make_t(A2)}
+    ball = grow_ball(GeneratorSet.from_dict(named), 6)
+    assert any("t^-1" in word for word, _ in ball.entries)
+    inverted = []
+
+    def counted_invert(g):
+        inverted.append(g)
+        return invert(g)
+
+    monkeypatch.setattr(search, "invert", counted_invert)
+    gens = GeneratorSet.from_dict(named)
+    gens.tokens()
+    assert len(inverted) == len(named)
+    for word, g in ball.entries:
+        assert evaluate_word(gens, word) == g
+    assert len(inverted) == len(named)
+
+
 def test_ball_closed_under_inversion_for_involutive_generators():
     ball = grow_ball(spinal_gens(), 4)
     elements = {g for _, g in ball.entries}
@@ -481,6 +503,16 @@ def assert_chunks_match_whole_file_reader(path) -> None:
     assert got == dict.fromkeys(CHUNK_SIZES, expected)
 
 
+# Every character at which str.splitlines ends a line, but \n and \r, which
+# the writer uses and universal newlines translate.
+OTHER_BREAKS = tuple(
+    ch
+    for ch in map(chr, range(sys.maxunicode + 1))
+    if len(f"a{ch}b".splitlines()) == 2 and ch not in "\n\r"
+)
+BREAK_NAMES = {"\f": "formfeed", "\x85": "nel", "\u2028": "u2028"}
+
+
 def chunk_edge_cases():
     """Files for the chunked reader, one pytest param each."""
     text = ball_text(3)
@@ -496,7 +528,8 @@ def chunk_edge_cases():
         "header-only-no-newline": "ball 2 0 0 0",
         "empty": "",
     }
-    for ch, name in (("\f", "formfeed"), ("\u2028", "u2028"), ("\x85", "nel")):
+    for ch in OTHER_BREAKS:
+        name = BREAK_NAMES.get(ch, f"u{ord(ch):04x}")
         # Between two rows, and inside a row.
         cases[f"{name}-between-rows"] = text.replace("\n2 -> ", ch + "2 -> ", 1)
         cases[f"{name}-inside-a-row"] = text.replace("1 -> ", "1 " + ch + "-> ", 1)
@@ -510,11 +543,6 @@ def test_load_ball_reads_across_chunk_edges(tmp_path, text):
     path = tmp_path / "ball.txt"
     path.write_bytes(text.encode("utf-8"))
     assert_chunks_match_whole_file_reader(path)
-
-
-# Every line break but \n and \r\n, which the writer uses and universal
-# newlines translate.
-OTHER_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 @st.composite
@@ -551,11 +579,6 @@ def test_load_ball_reads_mutated_files_across_chunk_edges(tmp_path_factory, text
     path = tmp_path_factory.mktemp("ball") / "ball.txt"
     path.write_bytes(text.encode("utf-8"))
     assert_chunks_match_whole_file_reader(path)
-
-
-def test_line_breaks_are_where_splitlines_splits():
-    breaks = {ch for ch in map(chr, range(sys.maxunicode + 1)) if len(f"a{ch}b".splitlines()) == 2}
-    assert breaks == set(search._LINE_BREAKS)
 
 
 def test_load_ball_refuses_bytes_that_are_not_utf8(tmp_path):

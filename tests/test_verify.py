@@ -343,7 +343,7 @@ def test_abelianization_suite_builds_commutators_only_at_odd_degree(monkeypatch)
         return commutator(g, h)
 
     monkeypatch.setattr(verify_module, "commutator", counting_commutator)
-    reports = abelianization_suite((2, 3, 4), count=5)
+    reports = abelianization_suite((2, 3, 4), count=5, seed=0)
     assert [r.line() for r in reports] == [
         f"abelianization n={n} {what} PASS"
         for n in (2, 3, 4)
