@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
 from .element import (
+    Letters,
     VnElement,
     _header,
     _open_text,
@@ -78,6 +79,8 @@ def evaluate_word(gens: GeneratorSet, word: GenWord) -> VnElement:
     table = gens._token_table
     acc = identity(gens.alphabet)
     for token in word:
+        if token not in table:
+            raise ParameterRangeError(f"unknown generator token {token!r}")
         acc = compose(acc, table[token][0])
     return acc
 
@@ -124,6 +127,13 @@ def _walk(gens: GeneratorSet, radius: int):
     stops early when its caller stops reading, and at the first level that
     adds nothing: every later level would be empty too, so a finite group
     ends the walk whatever the radius.
+
+    The elements of a ball repeat a few hundred domain words, and many
+    share whole domains.  Each new element's ``dom`` is pointed at the
+    walk's one copy of that domain, whose words are the walk's one copy
+    of each word, as a loaded ball already shares them through the parse
+    memos.  The image side is left alone: compose passes most image words
+    through from its left factor, so few of them are copies.
     """
     tokens = gens.tokens()
     # undo[j] is the index of token j's inverse.
@@ -134,6 +144,9 @@ def _walk(gens: GeneratorSet, radius: int):
     # last token, or -1 for the empty word.
     skips = [-1]
     seen = {frontier[0][1]}
+    # One copy of each domain word, and of each domain built from those.
+    rows: dict[Letters, Letters] = {}
+    domains: dict[tuple[Letters, ...], tuple[Letters, ...]] = {}
     yield frontier[0]
     for _ in range(radius):
         fresh: list[tuple[GenWord, VnElement]] = []
@@ -147,6 +160,14 @@ def _walk(gens: GeneratorSet, radius: int):
                 size = len(seen)
                 seen.add(cand)
                 if len(seen) > size:
+                    d = cand.dom
+                    shared = domains.get(d)
+                    if shared is None:
+                        shared = domains[d] = tuple(map(rows.setdefault, d, d))
+                    # Safe on a frozen element: compose built cand for this
+                    # call, so nothing else refers to it yet, and the shared
+                    # domain is equal, so its hash and its place in seen stay.
+                    object.__setattr__(cand, "dom", shared)
                     fresh.append((word + (tok,), cand))
                     fresh_skips.append(undo[j])
                     yield fresh[-1]

@@ -1,6 +1,7 @@
 """Ball growth, witness words, and the persistence format."""
 
 import functools
+import gc
 import os
 import random
 import sys
@@ -119,6 +120,17 @@ def test_evaluate_word_reads_the_token_table(monkeypatch):
     assert len(inverted) == len(named)
 
 
+@pytest.mark.parametrize(
+    "word", [("sigma", "x"), ("sigma^-1",)], ids=["unknown-name", "involution-inverse"]
+)
+def test_evaluate_word_refuses_an_unknown_token(word):
+    """A token outside the token table is a typed error, as a bad name is
+    in from_dict; an involution has no ``^-1`` token."""
+    with pytest.raises(ParameterRangeError) as info:
+        evaluate_word(spinal_gens(), word)
+    assert str(info.value) == f"unknown generator token {word[-1]!r}"
+
+
 def test_ball_closed_under_inversion_for_involutive_generators():
     ball = grow_ball(spinal_gens(), 4)
     elements = {g for _, g in ball.entries}
@@ -135,6 +147,18 @@ def test_ball_respects_cap():
         assert ball.truncated == (cap < 158), cap
         assert len(ball) == min(cap, 158), cap
         assert ball.entries == untruncated.entries[:cap], cap
+
+
+def test_grown_ball_shares_its_domain_words_and_domains():
+    """The walk keeps one copy of each domain word and of each domain: at
+    radius 12 the ball's 5,714 domains make 81,808 references to 239
+    distinct words and 1,483 distinct domains.  A walk that keeps each
+    product's own tuples holds 71,383 word objects and 5,714 domains."""
+    ball = grow_ball(spinal_gens(), 12)
+    domains = [g.dom for _, g in ball.entries]
+    words = [w for d in domains for w in d]
+    assert len({id(w) for w in words}) == len(set(words)) == 239
+    assert len({id(d) for d in domains}) == len(set(domains)) == 1483
 
 
 def count_hashes(monkeypatch):
@@ -320,6 +344,42 @@ def test_save_load_round_trip(tmp_path):
     ball = grow_ball(gens, 4, manifest=manifest)
     path = tmp_path / "ball.txt"
     save_ball(ball, str(path))
+    assert load_ball(str(path)) == ball
+
+
+def test_truncated_ball_round_trip(tmp_path):
+    ball = grow_ball(spinal_gens(), 6, cap=100)
+    assert ball.truncated
+    path = tmp_path / "ball.txt"
+    save_ball(ball, str(path))
+    assert path.read_text().splitlines()[0] == "ball 2 6 100 1"
+    loaded = load_ball(str(path))
+    assert loaded.truncated is True
+    assert loaded == ball
+
+
+def test_load_ball_rejects_a_truncated_flag_other_than_0_or_1(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("ball 2 0 0 2\n")
+    with pytest.raises(FileFormatError) as info:
+        load_ball(str(bad))
+    assert (info.value.reason, info.value.line) == ("truncated flag must be 0 or 1", 1)
+
+
+def test_generator_paths_may_hold_spaces(tmp_path):
+    """A ``gen`` line's path is the rest of the line, spaces and all, in a
+    manifest and in a ball file."""
+    (tmp_path / "my dir").mkdir()
+    (tmp_path / "my dir" / "g.elt").write_text(format_element(sigma_dot(A2)) + "\n")
+    manifest = tmp_path / "gens.txt"
+    manifest.write_text("gen g my dir/g.elt\n")
+    gens, recorded = load_generator_manifest(str(manifest))
+    assert gens == GeneratorSet.from_dict({"g": sigma_dot(A2)})
+    assert recorded == (("g", "my dir/g.elt"),)
+    ball = grow_ball(gens, 2, manifest=recorded)
+    path = tmp_path / "ball.txt"
+    save_ball(ball, str(path))
+    assert path.read_text().splitlines()[1] == "gen g my dir/g.elt"
     assert load_ball(str(path)) == ball
 
 
@@ -620,3 +680,23 @@ def test_ball_io_holds_a_chunk_and_a_block_not_the_file(tmp_path):
     assert loaded == ball
     assert save_peak < 2.5e6
     assert load_peak - held < 2.5e6
+
+
+def test_grown_ball_holds_a_shared_copy_of_each_domain():
+    """Traced allocation of a radius-12 ball (5,714 elements).  On Python
+    3.11 it holds 3.2 MB, 560 B per element, once a full collection has
+    emptied the interpreter's free lists.  A walk that keeps each
+    product's own domain tuples held 9.4 MB."""
+    gens = spinal_gens()
+    gens.tokens()  # the token table is the set's, not the ball's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ball = grow_ball(gens, 12)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 5714
+    assert held < 5e6
