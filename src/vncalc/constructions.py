@@ -32,7 +32,6 @@ from .element import (
     conjugate,
     identity,
     order_bounded,
-    power,
 )
 from .search import GeneratorSet, _walk
 from .words import Alphabet, Word, _parse_int, check_letters
@@ -412,16 +411,12 @@ def _generator_words(alphabet: Alphabet, max_length: int) -> list[VnElement]:
 
 
 def default_base(alphabet: Alphabet, size: int) -> list[VnElement]:
-    """A deterministic list of distinct nontrivial involutions."""
+    """The first ``size`` of ``base_involutions``: distinct nontrivial involutions."""
     pool = base_involutions(alphabet)
-    if len(pool) < size:
-        t = make_t(alphabet)
-        seen = dict.fromkeys(pool)
-        k = 1
-        while len(seen) < size:
-            seen.setdefault(conjugate(pool[0], power(t, k)))
-            k += 1
-        pool = list(seen)
+    if not 0 <= size <= len(pool):
+        raise ParameterRangeError(
+            f"base size must lie in 0..{len(pool)} at degree {alphabet.degree}, got {size}"
+        )
     return pool[:size]
 
 

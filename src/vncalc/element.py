@@ -84,12 +84,6 @@ class VnElement:
     def is_identity(self) -> bool:
         return self.dom == ((),)
 
-    def __mul__(self, other: VnElement) -> VnElement:
-        return compose(self, other)
-
-    def __pow__(self, k: int) -> VnElement:
-        return power(self, k)
-
     def __str__(self) -> str:
         body = ", ".join(f"{_text(w)}->{_text(v)}" for w, v in zip(self.dom, self.img))
         return f"vn {self.alphabet.degree}: {body}"

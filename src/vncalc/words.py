@@ -8,9 +8,9 @@ decided by the integer Kraft sum, never by floats.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as _cartesian
 from operator import attrgetter
 
@@ -170,9 +170,11 @@ def _check_antichain(ws: list[tuple[int, ...]], degree: int) -> None:
     powers = [degree**k for k in range(depth + 1)]
     total = sum(powers[depth - len(w)] for w in ws)
     if total != powers[depth]:
-        raise NotAPartitionError(
-            f"cone measures sum to {Fraction(total, powers[depth])}, expected 1"
-        )
+        # The reduced fraction, written as ``str(Fraction(...))`` would write it.
+        d = math.gcd(total, powers[depth])
+        num, den = total // d, powers[depth] // d
+        measure = f"{num}/{den}" if den != 1 else str(num)
+        raise NotAPartitionError(f"cone measures sum to {measure}, expected 1")
 
 
 def _primitive_root(per: tuple[int, ...]) -> tuple[int, ...]:
@@ -284,12 +286,6 @@ class PartitionSet:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __iter__(self):
-        return iter(self.words)
-
-    def __contains__(self, w: Word) -> bool:
-        return w in self.words
-
     def max_depth(self) -> int:
         return max(len(w) for w in self.words)
 
@@ -308,10 +304,15 @@ def _random_leaves(alphabet, rng, expansions, max_depth) -> list[tuple[int, ...]
     """
     words = [()]
     for _ in range(expansions):
-        open_at = [i for i, w in enumerate(words) if max_depth is None or len(w) < max_depth]
-        if not open_at:
-            raise ParameterRangeError("no expandable word below the depth bound")
-        i = rng.choice(open_at)
+        if max_depth is None:
+            # Every word is open.  ``choice`` draws from a range exactly as
+            # from the list of all indices: same index, same generator state.
+            i = rng.choice(range(len(words)))
+        else:
+            open_at = [i for i, w in enumerate(words) if len(w) < max_depth]
+            if not open_at:
+                raise ParameterRangeError("no expandable word below the depth bound")
+            i = rng.choice(open_at)
         w = words[i]
         words[i : i + 1] = [w + (a,) for a in alphabet.letters]
     return words

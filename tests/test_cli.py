@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vncalc
-from vncalc import cli, constructions, element, expressions
+from vncalc import cli, constructions, element, expressions, verify
 from vncalc.cli import build_parser, main
 from vncalc.constructions import (
     default_base,
@@ -56,6 +56,12 @@ def test_point_action(capsys):
     code, out, _ = run(capsys, "point", "-n", "2", "-e", "sigma", "-p", "eps:1")
     assert code == 0
     assert out.strip() == "2:1"
+
+
+def test_point_without_a_colon_is_one_error_line(capsys):
+    code, out, err = run(capsys, "point", "-n", "2", "-e", "sigma", "-p", "1.2")
+    assert (code, out) == (1, "")
+    assert err == "error: point syntax is '<pre>:<per>', got '1.2'\n"
 
 
 def test_order_exceeds_bound(capsys):
@@ -281,6 +287,20 @@ def test_verify_exit_zero_and_lines(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines == ["involutions n=2 PASS", "involutions n=3 PASS"]
+
+
+def test_a_failed_check_prints_both_sides_and_exits_1(monkeypatch, capsys):
+    # t^2 in place of t breaks the translation identity for every nontrivial gamma.
+    monkeypatch.setattr(verify, "make_t", lambda a: element.power(constructions.make_t(a), 2))
+    code, out, err = run(capsys, "verify", "eq2", "-n", "2", "--count", "0", "--kmax", "1")
+    assert code == 1
+    assert out.splitlines() == [
+        "translation n=2 k=1 gamma#0 FAIL",
+        "translation n=2 k=1 gamma#1 PASS",
+    ]
+    lines = err.splitlines()
+    assert [line[:7] for line in lines] == ["  lhs: ", "  rhs: "]
+    assert lines[0][7:] != lines[1][7:]
 
 
 def test_verify_tsv_format(capsys):

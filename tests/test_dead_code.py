@@ -8,8 +8,8 @@ private.  Liveness spreads from these roots:
 - ``perfbench/``;
 - the package's module-level code that is neither a definition nor an
   import: decorators, class fields, ``__main__.py`` and the
-  ``__name__ == "__main__"`` blocks (so the ``__init__`` re-exports are
-  not uses);
+  ``__name__ == "__main__"`` blocks (so an import in ``__init__`` is not
+  a use);
 - the names the README's ``## Python API`` lists, one ``- `name`: reason``
   line each.
 

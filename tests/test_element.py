@@ -136,13 +136,14 @@ def test_canonicalize_merges_coherent_children():
     "table, error, message",
     [
         ({"1": "2"}, NotAPartitionError, "cone measures sum to 1/2, expected 1"),
+        ({}, NotAPartitionError, "cone measures sum to 0, expected 1"),
         ({"1": "1", "1.2": "2"}, NotAPartitionError, "1 is a proper prefix of 1.2"),
         ({"1": "1", "3": "2"}, MalformedWordError, "letter 3 of word 3 exceeds"),
         ({"1": "1", "2": "1"}, NotABijectionError, "image words are not distinct"),
         ({"1": "1", "2": "3"}, MalformedWordError, "letter 3 of word 3 exceeds"),
         ({"1": "1.1", "2": "2"}, NotABijectionError, "images are not a partition set"),
     ],
-    ids=["domain-short", "domain-prefix", "domain-letter", "image-repeat",
+    ids=["domain-short", "domain-empty", "domain-prefix", "domain-letter", "image-repeat",
          "image-letter", "image-short"],
 )
 def test_canonicalize_checks_its_table(table, error, message):

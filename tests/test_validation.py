@@ -65,7 +65,7 @@ from vncalc.errors import (
 )
 from vncalc.search import GeneratorSet, grow_ball, load_ball, save_ball
 from vncalc.verify import enumerate_en_group, run_suites, verify_s_alpha_conjugation
-from vncalc.words import Alphabet, PartitionSet, Word, _random_leaves
+from vncalc.words import Alphabet, PartitionSet, RationalPoint, Word, _random_leaves
 
 
 def word_text(letters) -> str:
@@ -600,8 +600,19 @@ def test_from_words_matches_naive_oracle(case):
         (lambda: Word.parse("1.0.-1"), "letters must be integers >= 1, got 0"),
         (lambda: Word.parse(""), "empty word text; write 'eps' for the empty word"),
         (lambda: Word.parse("1..2"), "bad word syntax '1..2'"),
+        (lambda: RationalPoint(Word(), Word()), "period must be nonempty"),
+        (lambda: RationalPoint(Word(), Word((1, 1))), "period 1.1 is not primitive"),
+        (
+            lambda: RationalPoint(Word((1,)), Word((2, 1))),
+            "preperiod 1 can be absorbed into the period",
+        ),
+        (lambda: RationalPoint.parse("1.2"), "point syntax is '<pre>:<per>', got '1.2'"),
     ],
-    ids=["zero", "float", "str", "bool", "parse-zero", "parse-empty", "parse-double-dot"],
+    ids=[
+        "zero", "float", "str", "bool", "parse-zero", "parse-empty", "parse-double-dot",
+        "point-empty-period", "point-period-not-primitive", "point-preperiod-absorbed",
+        "point-syntax",
+    ],
 )
 def test_public_word_construction_validates(build, message):
     with pytest.raises(MalformedWordError) as info:
@@ -677,6 +688,16 @@ def test_public_word_construction_validates(build, message):
             FileFormatError,
             "no element file given for indices [1]",
         ),
+        (
+            lambda: default_base(Alphabet(2), 5),
+            ParameterRangeError,
+            "base size must lie in 0..4 at degree 2, got 5",
+        ),
+        (
+            lambda: default_base(Alphabet(3), -1),
+            ParameterRangeError,
+            "base size must lie in 0..4 at degree 3, got -1",
+        ),
     ],
     ids=[
         "level-depth",
@@ -696,6 +717,8 @@ def test_public_word_construction_validates(build, message):
         "plan-entries-empty",
         "plan-base-empty",
         "plan-file-missing",
+        "default-base-size",
+        "default-base-negative",
     ],
 )
 def test_range_errors_are_typed(call, error, message):

@@ -385,6 +385,45 @@ def test_involution_suite_empty_sequence():
     assert rep.passed
 
 
+# --- planted faults ----------------------------------------------------------------------------
+# Every verdict the default grid expects is PASS, so a check that passed
+# without comparing would pass the tests above.  With ``verify.make_t``
+# rebound to t^2, each identity that conjugates by t is false: every check
+# must report FAIL and carry both sides.
+
+
+def t_squared(alphabet):
+    return power(make_t(alphabet), 2)
+
+
+PLANTED = {
+    "eq2": lambda n: [
+        verify_translation(g, k)
+        for g in (sigma_dot(Alphabet(n)), random_element(Alphabet(n), random.Random(n)))
+        for k in (1, 2, 3)
+    ],
+    "eq3": lambda n: verify_module.plan_suite(verify_s_alpha_conjugation, (n,), (1, 2, 3)),
+    "trick": lambda n: [
+        r
+        for r in verify_module.plan_suite(verify_commutator_trick, (n,), (1, 2, 3))
+        if r.verdict != "SKIP"
+    ],
+    "isolation": lambda n: verify_module.isolation_suite((n,)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("suite", PLANTED)
+def test_a_wrong_t_fails_every_check_that_conjugates_by_it(monkeypatch, suite, n):
+    monkeypatch.setattr(verify_module, "make_t", t_squared)
+    reports = PLANTED[suite](n)
+    assert reports
+    for rep in reports:
+        assert rep.failed, rep.line()
+        assert rep.lhs is not None and rep.rhs is not None
+        assert rep.lhs != rep.rhs
+
+
 # --- suite driver ------------------------------------------------------------------------------
 
 

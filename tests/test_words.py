@@ -2,8 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     W,
@@ -145,6 +148,37 @@ def test_random_leaves_match_resorting_loop(n, expansions, max_depth):
 def test_from_words_rejects_incomplete():
     with pytest.raises(NotAPartitionError):
         PartitionSet.from_words(words("1", "2.1"), A2)
+
+
+@pytest.mark.parametrize(
+    "texts, n, measure",
+    [
+        ((), 2, "0"),
+        (("1", "2"), 3, "2/3"),
+        (("1", "2"), 4, "1/2"),
+        (("1.1", "2"), 3, "4/9"),
+    ],
+    ids=["empty", "two-thirds", "reduced", "two-depths"],
+)
+def test_incomplete_sets_report_their_reduced_cone_measure(texts, n, measure):
+    with pytest.raises(NotAPartitionError) as info:
+        PartitionSet.from_words(words(*texts), Alphabet(n))
+    assert str(info.value) == f"cone measures sum to {measure}, expected 1"
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 5), st.integers(0, 12), st.data())
+def test_the_cone_measure_is_written_as_fraction_writes_it(n, expansions, data):
+    """Any prefix-free set: a random partition set with some words dropped."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    leaves = _random_leaves(Alphabet(n), rng, expansions, None)
+    kept = [w for w in leaves if data.draw(st.booleans())]
+    total = sum(Fraction(1, n ** len(w)) for w in kept)
+    result = outcome(PartitionSet.from_words, [Word(w) for w in kept], Alphabet(n))
+    if total == 1:
+        assert result[0] == "ok"
+    else:
+        assert result == (NotAPartitionError, f"cone measures sum to {total}, expected 1")
 
 
 def test_point_normalize_primitive_root():
