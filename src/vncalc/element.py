@@ -93,6 +93,13 @@ def identity(alphabet: Alphabet) -> VnElement:
     return VnElement(alphabet, ((),), ((),))
 
 
+# The last letters of the first n - 1 children, built once per degree; the
+# degree has no upper bound, so the cache keeps only a few.
+@functools.lru_cache(maxsize=16)
+def _tails(n: int) -> tuple[Letters, ...]:
+    return tuple((i,) for i in range(1, n))
+
+
 def _canonical(rows, alphabet: Alphabet) -> VnElement:
     """The canonical element of validated rows given in sorted domain order.
 
@@ -126,7 +133,7 @@ def _canonical(rows, alphabet: Alphabet) -> VnElement:
     """
     n = alphabet.degree
     m = n - 1
-    tails = [(i,) for i in range(1, n)]
+    tails = _tails(n)
     last = tails[-1]
     dom: list[Letters] = []
     img: list[Letters] = []
@@ -217,7 +224,7 @@ def make_element(domain: PartitionSet, images) -> VnElement:
 
 
 def _require_same_alphabet(g: VnElement, h: VnElement) -> None:
-    if g.alphabet != h.alphabet:
+    if g.alphabet is not h.alphabet and g.alphabet != h.alphabet:
         raise AlphabetMismatchError(f"{g.alphabet} vs {h.alphabet}")
 
 
@@ -231,8 +238,13 @@ def compose(g: VnElement, h: VnElement) -> VnElement:
     v.s there gives a row w.s -> g(v.s).  The rows come out in sorted
     domain order, since h's domain is sorted and no extension of w sorts
     past the next domain word of h, so they go straight to the reducer.
+    A product with the identity is the other factor, returned as it is.
     """
     _require_same_alphabet(g, h)
+    if h.dom == ((),):
+        return g
+    if g.dom == ((),):
+        return h
     g_dom, g_img = g.dom, g.img
     rows: list[Row] = []
     for w, v in zip(h.dom, h.img):

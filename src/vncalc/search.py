@@ -164,10 +164,16 @@ def _walk(gens: GeneratorSet, radius: int):
                     shared = domains.get(d)
                     if shared is None:
                         shared = domains[d] = tuple(map(rows.setdefault, d, d))
-                    # Safe on a frozen element: compose built cand for this
-                    # call, so nothing else refers to it yet, and the shared
-                    # domain is equal, so its hash and its place in seen stay.
-                    object.__setattr__(cand, "dom", shared)
+                    if cand is h:
+                        # g is the identity, and compose returned the
+                        # caller's generator: give the walk its own copy.
+                        cand = VnElement(cand.alphabet, shared, cand.img)
+                    else:
+                        # Safe on a frozen element: compose built cand for
+                        # this call, so nothing else refers to it yet, and
+                        # the shared domain is equal, so its hash and its
+                        # place in seen stay.
+                        object.__setattr__(cand, "dom", shared)
                     fresh.append((word + (tok,), cand))
                     fresh_skips.append(undo[j])
                     yield fresh[-1]

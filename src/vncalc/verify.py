@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .constructions import (
@@ -29,8 +29,8 @@ from .element import (
     VnElement,
     commutator,
     compose,
-    conjugate,
     identity,
+    invert,
     is_volume_preserving,
     power,
     random_element,
@@ -82,14 +82,57 @@ def _compare(name: str, params: str, lhs: VnElement, rhs: VnElement) -> Verifica
     return VerificationReport(name, params, FAIL, lhs=lhs, rhs=rhs)
 
 
-def verify_translation(gamma: VnElement, k: int) -> VerificationReport:
-    """Conjugating a spine-embedded element by t pushes it one level deeper."""
+# The checks of a suite share their operands: eq2's check k builds the
+# spine embedding that check k + 1 conjugates, and the other suites
+# conjugate by the same few powers of t and the same spinal elements for
+# every k.  Each memo is keyed by the elements it builds from, never by the
+# alphabet alone, so a rebound ``make_t`` gets powers of its own, and looks
+# its constructions up by module name when it builds, so a rebound or
+# traced one sees each call.  The memos keep a few small entries: the
+# degree and k have no cap, and t^k holds about k * k * (degree - 1)
+# letters, so powers past _SHARED_POWER are built for each check.
+_SHARED_POWER = 16
+
+
+@functools.lru_cache(maxsize=1)
+def _spine_embedding(k: int, gamma: VnElement) -> VnElement:
+    return embed(spine_cone(k), gamma)
+
+
+def _build_powers(t: VnElement, k: int) -> tuple[VnElement, VnElement]:
+    t_k = power(t, k)
+    return invert(t_k), t_k
+
+
+_memo_powers = functools.lru_cache(maxsize=32)(_build_powers)
+
+
+@functools.lru_cache(maxsize=16)
+def _spinal(entries: tuple[VnElement, ...], alphabet: Alphabet) -> VnElement:
+    return make_s_alpha(entries, alphabet)
+
+
+def _shift(g: VnElement, k: int) -> VnElement:
+    """g conjugated by t^k: t^-k * g * t^k."""
+    t = make_t(g.alphabet)
+    t_inv, t_k = _memo_powers(t, k) if k <= _SHARED_POWER else _build_powers(t, k)
+    return compose(compose(t_inv, g), t_k)
+
+
+def verify_translation(
+    gamma: VnElement, k: int, *, label: str | None = None
+) -> VerificationReport:
+    """Conjugating a spine-embedded element by t pushes it one level deeper.
+
+    ``label``, if given, ends the report's params.
+    """
     params = f"n={gamma.alphabet.degree} k={k}"
+    if label is not None:
+        params = f"{params} {label}"
     if k < 1:
         return VerificationReport("translation", params, SKIP, reason="k must be >= 1")
-    t = make_t(gamma.alphabet)
-    lhs = conjugate(embed(spine_cone(k), gamma), t)
-    rhs = embed(spine_cone(k + 1), gamma)
+    lhs = _shift(_spine_embedding(k, gamma), 1)
+    rhs = _spine_embedding(k + 1, gamma)
     return _compare("translation", params, lhs, rhs)
 
 
@@ -111,8 +154,7 @@ def verify_s_alpha_conjugation(alpha, k: int) -> VerificationReport:
     params = f"n={alphabet.degree} ell={len(entries)} k={k}"
     if k < 0:
         return VerificationReport("shift-conjugation", params, SKIP, reason="k must be >= 0")
-    s = make_s_alpha(entries, alphabet)
-    lhs = conjugate(s, power(make_t(alphabet), k))
+    lhs = _shift(_spinal(entries, alphabet), k)
     rhs = _shifted_spinal(entries, alphabet, k)
     return _compare("shift-conjugation", params, lhs, rhs)
 
@@ -137,9 +179,9 @@ def verify_commutator_trick(alpha, k: int) -> VerificationReport:
             SKIP,
             reason=f"entries {bad} in the top k positions are nontrivial",
         )
-    s = make_s_alpha(entries, alphabet)
+    s = _spinal(entries, alphabet)
     sig = sigma_dot(alphabet)
-    lhs = commutator(s, conjugate(s, power(make_t(alphabet), k)))
+    lhs = commutator(s, _shift(s, k))
     rhs = embed(spine_cone(ell + 1), commutator(sig, embed(spine_cone(k), sig)))
     for i in range(k + 1, ell + 1):
         inner = commutator(entries[i - 1], entries[i - k - 1])
@@ -165,8 +207,8 @@ def verify_isolation(plan: AlphaPlan, i: int, j: int) -> VerificationReport:
         return VerificationReport(name, params, SKIP, reason="need i < j")
     k = j - i
     sig = sigma_dot(plan.alphabet)
-    s = make_s_alpha(plan)
-    lhs = commutator(s, conjugate(s, power(make_t(plan.alphabet), k)))
+    s = _spinal(plan.entries, plan.alphabet)
+    lhs = commutator(s, _shift(s, k))
     gamma = commutator(sig, embed(spine_cone(k), sig))
     deep = embed(spine_cone(plan.length + 1), gamma)
     cone = embed(spine_cone(j).child(2), commutator(plan.entry(j), plan.entry(i)))
@@ -290,8 +332,7 @@ def translation_suite(degrees, k_values, count: int, seed: int) -> list[Verifica
         gammas += [random_element(alphabet, rng) for _ in range(count)]
         for idx, gamma in enumerate(gammas):
             for k in k_values:
-                rep = verify_translation(gamma, k)
-                reports.append(replace(rep, params=f"{rep.params} gamma#{idx}"))
+                reports.append(verify_translation(gamma, k, label=f"gamma#{idx}"))
     return reports
 
 

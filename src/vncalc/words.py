@@ -303,10 +303,12 @@ def _random_leaves(alphabet, rng, expansions, max_depth) -> list[tuple[int, ...]
     expandable words in sorted order.
     """
     words = [()]
-    for _ in range(expansions):
-        if max_depth is None:
-            # Every word is open.  ``choice`` draws from a range exactly as
-            # from the list of all indices: same index, same generator state.
+    for step in range(expansions):
+        if max_depth is None or step < max_depth:
+            # Each expansion deepens the set by at most one letter, so no word
+            # has reached the bound yet and every word is open.  ``choice``
+            # draws from a range exactly as from the list of all indices:
+            # same index, same generator state.
             i = rng.choice(range(len(words)))
         else:
             open_at = [i for i, w in enumerate(words) if len(w) < max_depth]

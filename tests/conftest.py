@@ -46,6 +46,10 @@ for ``vncalc.render`` and ``vncalc.element``, which work on letter tuples.
 one ``finditer`` pass: it matches one token at a time and, where no token
 matches, strips the spaces by hand to report the first unexpected
 character, kept as the reference for ``vncalc.expressions._tokenize``.
+``naive_verify_grid`` is the eq2, eq3, trick and isolation suites as they
+were before the checks shared their operands: every check builds its
+spine embeddings, its power of t, its conjugator and its spinal element
+from scratch, kept as the reference for the memos of ``vncalc.verify``.
 """
 
 from __future__ import annotations
@@ -58,16 +62,29 @@ from itertools import product
 
 from hypothesis import settings
 
-from vncalc.constructions import default_base, make_s_alpha, make_tau, plan_alpha, sigma_dot
+from vncalc import verify
+from vncalc.constructions import (
+    default_base,
+    embed,
+    make_s_alpha,
+    make_tau,
+    plan_alpha,
+    sigma_dot,
+    spine_cone,
+)
 from vncalc.element import (
     RefinementWitness,
     VnElement,
     _canonical,
     _image,
     _require_same_alphabet,
+    commutator,
     compose,
+    conjugate,
     identity,
     is_volume_preserving,
+    power,
+    random_element,
     table_parity,
 )
 from vncalc.errors import (
@@ -701,6 +718,84 @@ def naive_enumerate_en_group(gens, level: int | None = None) -> FiniteClosure:
         for p in closure
     )
     return FiniteClosure(len(closure), depth, elements)
+
+
+def naive_verify_grid(degrees, kmax: int, count: int, seed: int) -> dict[str, list]:
+    """``(line, lhs, rhs)`` of every report of the eq2, eq3, trick and
+    isolation suites, by suite name.  t is read from ``vncalc.verify`` at
+    each check, so a rebound ``make_t`` reaches every check here too."""
+    out: dict[str, list] = {"eq2": [], "eq3": [], "trick": [], "isolation": []}
+
+    def report(suite, name, params, lhs, rhs):
+        if lhs == rhs:
+            out[suite].append((f"{name} {params} PASS", None, None))
+        else:
+            out[suite].append((f"{name} {params} FAIL", lhs, rhs))
+
+    def deep_commutator(alphabet, ell, k):
+        sig = sigma_dot(alphabet)
+        return embed(spine_cone(ell + 1), commutator(sig, embed(spine_cone(k), sig)))
+
+    for n in degrees:
+        alphabet = Alphabet(n)
+        rng = random.Random(seed)
+        gammas = [sigma_dot(alphabet), identity(alphabet)]
+        gammas += [random_element(alphabet, rng) for _ in range(count)]
+        for idx, gamma in enumerate(gammas):
+            for k in range(1, kmax + 1):
+                lhs = conjugate(embed(spine_cone(k), gamma), verify.make_t(alphabet))
+                rhs = embed(spine_cone(k + 1), gamma)
+                report("eq2", "translation", f"n={n} k={k} gamma#{idx}", lhs, rhs)
+    for n in degrees:
+        alphabet = Alphabet(n)
+        for size in (1, 2, 3):
+            plan = plan_alpha(default_base(alphabet, size))
+            entries, ell = plan.entries, plan.length
+            for k in range(kmax + 1):
+                s = make_s_alpha(plan)
+                lhs = conjugate(s, power(verify.make_t(alphabet), k))
+                rhs = embed(spine_cone(ell + k + 1), sigma_dot(alphabet))
+                for i, g in enumerate(entries, start=1):
+                    rhs = compose(rhs, embed(spine_cone(i + k).child(2), g))
+                report("eq3", "shift-conjugation", f"n={n} ell={ell} k={k}", lhs, rhs)
+    for n in degrees:
+        alphabet = Alphabet(n)
+        for size in (1, 2, 3):
+            plan = plan_alpha(default_base(alphabet, size))
+            entries, ell = plan.entries, plan.length
+            for k in range(kmax + 1):
+                params = f"n={n} ell={ell} k={k}"
+                top = range(max(ell - k + 1, 1), ell + 1)
+                bad = [i for i in top if not entries[i - 1].is_identity()]
+                if bad:
+                    reason = f"entries {bad} in the top k positions are nontrivial"
+                    line = f"commutator-product {params} SKIP({reason})"
+                    out["trick"].append((line, None, None))
+                    continue
+                s = make_s_alpha(plan)
+                lhs = commutator(s, conjugate(s, power(verify.make_t(alphabet), k)))
+                rhs = deep_commutator(alphabet, ell, k)
+                for i in range(k + 1, ell + 1):
+                    inner = commutator(entries[i - 1], entries[i - k - 1])
+                    rhs = compose(rhs, embed(spine_cone(i).child(2), inner))
+                report("trick", "commutator-product", params, lhs, rhs)
+    for n in degrees:
+        alphabet = Alphabet(n)
+        for size in (2, 3):
+            plan = plan_alpha(default_base(alphabet, size))
+            members = plan.support.sorted_members
+            for a, i in enumerate(members):
+                for j in members[a + 1 :]:
+                    s = make_s_alpha(plan)
+                    lhs = commutator(s, conjugate(s, power(verify.make_t(alphabet), j - i)))
+                    cone = commutator(plan.entry(j), plan.entry(i))
+                    rhs = compose(
+                        deep_commutator(alphabet, plan.length, j - i),
+                        embed(spine_cone(j).child(2), cone),
+                    )
+                    params = f"n={n} ell={plan.length} i={i} j={j}"
+                    report("isolation", "isolation", params, lhs, rhs)
+    return out
 
 
 def spinal_gens() -> GeneratorSet:

@@ -114,15 +114,25 @@ def test_ball_grow_is_one_step_per_candidate():
     assert len(clock.ends) == words * len(gens.tokens()) - (words - 1)
 
 
-@pytest.mark.parametrize("which", ["eq3", "trick"])
+SUITE_CHECKS = {
+    "eq2": ("verify.verify_translation", 20),
+    "eq3": ("verify.verify_s_alpha_conjugation", 18),
+    "trick": ("verify.verify_commutator_trick", 18),
+    "isolation": ("verify.verify_isolation", 8),
+}
+
+
+@pytest.mark.parametrize("which", list(SUITE_CHECKS))
 def test_plan_suites_are_one_step_per_check(which):
-    """verify-grid's step clock cuts the eq3 and trick suites at each return
-    from their checks, so each suite must look its check up by module name
-    when it runs: a copy bound at import would escape the clock."""
-    steps = ("verify.verify_s_alpha_conjugation", "verify.verify_commutator_trick")
-    with load_tracer().StepClock(steps) as clock:
-        reports = verify.run_suites(which, (2, 3), kmax=2)
-    assert len(reports) == 18
+    """verify-grid's step clock cuts the eq2, eq3, trick and isolation
+    suites at each return from their checks, so each suite must call its
+    check once per report, and look it up by module name when it runs: a
+    copy bound at import would escape the clock, and a suite that built
+    reports without its check would merge the steps."""
+    check, count = SUITE_CHECKS[which]
+    with load_tracer().StepClock((check,)) as clock:
+        reports = verify.run_suites(which, (2, 3), kmax=2, count=3)
+    assert len(reports) == count
     assert len(clock.ends) == len(reports)
 
 

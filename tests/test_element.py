@@ -226,11 +226,18 @@ def test_compose_right_factor_first():
 
 
 def test_compose_identity_neutral():
+    # compose returns the other factor itself; the oracle agrees that the
+    # product is that factor.
     rng = random.Random(3)
-    for _ in range(50):
-        g = random_element(A2, rng)
-        assert compose(g, identity(A2)) == g
-        assert compose(identity(A2), g) == g
+    for alphabet in (A2, A3, A5):
+        ident = identity(alphabet)
+        factors = [ident, sigma_dot(alphabet), make_t(alphabet)]
+        factors += [random_element(alphabet, rng) for _ in range(20)]
+        factors += [random_element(alphabet, rng, 12, max_depth=None) for _ in range(10)]
+        for g in factors:
+            assert compose(g, ident) is g and compose(ident, g) is g
+            assert format_element(naive_compose(g, ident)) == format_element(g)
+            assert format_element(naive_compose(ident, g)) == format_element(g)
 
 
 def test_compose_matches_evaluation_oracle():
@@ -304,8 +311,15 @@ def test_conjugating_embedded_by_t_translates():
 
 
 def test_alphabet_mismatch_raises():
-    with pytest.raises(AlphabetMismatchError):
-        compose(sigma_dot(A2), sigma_dot(A3))
+    # An identity factor is checked too, before compose returns the other.
+    for g, h in [
+        (sigma_dot(A2), sigma_dot(A3)),
+        (identity(A2), sigma_dot(A3)),
+        (sigma_dot(A2), identity(A3)),
+        (identity(A2), identity(A3)),
+    ]:
+        with pytest.raises(AlphabetMismatchError):
+            compose(g, h)
 
 
 # --- the kernel against the naive oracle --------------------------------------

@@ -161,6 +161,17 @@ def test_grown_ball_shares_its_domain_words_and_domains():
     assert len({id(d) for d in domains}) == len(set(domains)) == 1483
 
 
+def test_the_walk_leaves_the_callers_generators_alone():
+    """compose(identity, h) is h itself, so the walk's first level meets
+    the generators it was given: it must share their domains in copies of
+    its own, not by rewriting the caller's elements."""
+    gens = spinal_gens()
+    tokens = [(g, g.dom) for _, g in gens.tokens()]
+    ball = grow_ball(gens, 3)
+    assert all(g.dom is dom for g, dom in tokens)
+    assert [g for word, g in ball.entries if len(word) == 1] == [g for g, _ in tokens]
+
+
 def count_hashes(monkeypatch):
     """Count VnElement hashes and the candidates the search composes."""
     counts = {"hash": 0, "candidates": 0}

@@ -1,12 +1,13 @@
 """Identity checks, finite-closure enumeration, and membership tests."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import W, naive_enumerate_en_group, tuple_closure
+from conftest import W, naive_enumerate_en_group, naive_verify_grid, tuple_closure
 from vncalc.constructions import (
     default_base,
     dot,
@@ -16,6 +17,7 @@ from vncalc.constructions import (
     make_tau,
     plan_alpha,
     sigma_dot,
+    spine_cone,
     Permutation,
 )
 from vncalc.element import (
@@ -186,6 +188,64 @@ def test_isolation_rejects_bad_pairs():
     assert verify_isolation(plan, 2, 2).verdict == "SKIP"
     assert verify_isolation(plan, 3, 2).verdict == "SKIP"
     assert verify_isolation(plan, 1, 3).verdict == "SKIP"
+
+
+@pytest.mark.parametrize(
+    "check, name",
+    [
+        (verify_s_alpha_conjugation, "shift-conjugation"),
+        (verify_commutator_trick, "commutator-product"),
+    ],
+)
+def test_plan_checks_skip_a_negative_k(check, name):
+    plan = plan_alpha(default_base(A2, 2))
+    rep = check(plan, -1)
+    assert rep.line() == f"{name} n=2 ell={plan.length} k=-1 SKIP(k must be >= 0)"
+    assert rep.lhs is None and rep.rhs is None
+
+
+def isolation_sides(plan, i, j, sig, deep_at):
+    """The commutator that the isolation check for the pair (i, j) splits,
+    and its two factors, with ``sig`` in place of sigma and the spine
+    factor embedded at ``deep_at``: (lhs, deep, cone)."""
+    k = j - i
+    s = make_s_alpha(plan)
+    lhs = commutator(s, conjugate(s, power(make_t(plan.alphabet), k)))
+    deep = embed(deep_at, commutator(sig, embed(spine_cone(k), sig)))
+    cone = embed(spine_cone(j).child(2), commutator(plan.entry(j), plan.entry(i)))
+    return lhs, deep, cone
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_isolation_fails_a_spine_factor_that_is_not_volume_preserving(monkeypatch, n):
+    # With t in place of sigma the spine factor [t, t at 1^k] changes lengths.
+    alphabet = Alphabet(n)
+    monkeypatch.setattr(verify_module, "sigma_dot", make_t)
+    plan = plan_alpha(default_base(alphabet, 2))
+    rep = verify_isolation(plan, 2, 3)
+    lhs, deep, cone = isolation_sides(
+        plan, 2, 3, make_t(alphabet), spine_cone(plan.length + 1)
+    )
+    assert rep.failed
+    assert rep.reason == "spine factor is not volume preserving"
+    assert (rep.lhs, rep.rhs) == (lhs, compose(deep, cone))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_isolation_fails_factors_that_do_not_commute(monkeypatch, n):
+    # The spine factor moved from 1^(ell+1) to the root overlaps the cone
+    # at 1^j.2, and the two factors no longer commute.
+    alphabet = Alphabet(n)
+    plan = plan_alpha(default_base(alphabet, 3))
+    ell = plan.length
+    monkeypatch.setattr(
+        verify_module, "spine_cone", lambda k: Word(()) if k == ell + 1 else spine_cone(k)
+    )
+    rep = verify_isolation(plan, 4, 7)
+    _, deep, cone = isolation_sides(plan, 4, 7, sigma_dot(alphabet), Word(()))
+    assert rep.failed
+    assert rep.reason == "right-hand factors do not commute"
+    assert (rep.lhs, rep.rhs) == (compose(deep, cone), compose(cone, deep))
 
 
 # --- maximal subgroup membership ----------------------------------------------------
@@ -422,6 +482,68 @@ def test_a_wrong_t_fails_every_check_that_conjugates_by_it(monkeypatch, suite, n
         assert rep.failed, rep.line()
         assert rep.lhs is not None and rep.rhs is not None
         assert rep.lhs != rep.rhs
+
+
+# --- shared operands ---------------------------------------------------------------------------
+# The suites build each operand that their checks share once: a spine
+# embedding, a power of t with its inverse, a spinal element.
+
+
+SHARED = ("eq2", "eq3", "trick", "isolation")
+
+
+def shared_suite_rows(**grid):
+    return {
+        name: [(r.line(), r.lhs, r.rhs) for r in run_suites(name, **grid)] for name in SHARED
+    }
+
+
+def test_shared_operands_match_the_from_scratch_suites(monkeypatch):
+    """Lines and both sides agree with suites that build every operand per
+    check, before, while and after ``make_t`` is rebound to t^2: no memo
+    serves an operand built from another t."""
+    grid = {"degrees": (2, 3, 5), "kmax": 5, "count": 5, "seed": 0}
+    clean = shared_suite_rows(**grid)
+    assert clean == naive_verify_grid(**grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_module, "make_t", t_squared)
+        planted = shared_suite_rows(**grid)
+        assert planted == naive_verify_grid(**grid)
+    assert any(lhs is not None for rows in planted.values() for _, lhs, _ in rows)
+    assert shared_suite_rows(**grid) == clean
+
+
+def clear_verify_memos():
+    for value in vars(verify_module).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def test_the_grid_builds_each_shared_operand_once(monkeypatch):
+    """On the default grid (n = 2, 3, 5, kmax 5, count 200) eq2 embeds
+    each of its 606 elements at the six spine depths once, 3,636 embeds in
+    place of two per check (6,060); eq3, trick and isolation build each of
+    their 18 powers t^k once in place of once per check (96), and each of
+    the 9 planned spinal elements once in place of once per check (96)."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("embed", "power", "make_s_alpha"):
+        monkeypatch.setattr(verify_module, name, counted(name, getattr(verify_module, name)))
+    clear_verify_memos()
+    assert len(run_suites("eq2", (2, 3, 5))) == 3030
+    assert calls["embed"] == 3636
+    clear_verify_memos()
+    calls.clear()
+    for name in ("eq3", "trick", "isolation"):
+        run_suites(name, (2, 3, 5))
+    assert (calls["power"], calls["make_s_alpha"]) == (18, 9)
 
 
 # --- suite driver ------------------------------------------------------------------------------

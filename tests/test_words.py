@@ -131,7 +131,7 @@ def test_partition_set_matches_tree_oracle():
                     PartitionSet.from_words(part[1:], alphabet)
 
 
-@pytest.mark.parametrize("max_depth", [None, 2, 4])
+@pytest.mark.parametrize("max_depth", [None, 0, 1, 2, 4])
 @pytest.mark.parametrize("expansions", [4, 40])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_random_leaves_match_resorting_loop(n, expansions, max_depth):
