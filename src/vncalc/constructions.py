@@ -145,15 +145,33 @@ def embed(w: Word, g: VnElement) -> VnElement:
     if g.is_identity():
         return identity(g.alphabet)
     cone = w.letters
-    letters = g.alphabet.letters
-    path = list(enumerate(cone))
-    left = [cone[:k] + (b,) for k, a in path for b in letters if b < a]
-    right = [cone[:k] + (b,) for k, a in reversed(path) for b in letters if b > a]
+    n = g.alphabet.degree
+    siblings = _memo_siblings if (n - 1) * len(cone) <= _SIBLING_ROWS else _siblings
+    left, right = siblings(cone, n)
     return VnElement(
         g.alphabet,
         (*left, *[cone + u for u in g.dom], *right),
         (*left, *[cone + v for v in g.img], *right),
     )
+
+
+def _siblings(cone: tuple[int, ...], degree: int) -> tuple[tuple, tuple]:
+    """The fixed sibling words left and right of the path to ``cone``, in
+    the order ``embed`` lists them: (n - 1) * len(cone) words in all."""
+    letters = range(1, degree + 1)
+    path = list(enumerate(cone))
+    left = tuple(cone[:k] + (b,) for k, a in path for b in letters if b < a)
+    right = tuple(cone[:k] + (b,) for k, a in reversed(path) for b in letters if b > a)
+    return left, right
+
+
+# The sibling words depend only on the cone word and the degree, and a few
+# pairs recur: eq2's 3,636 embeddings on the default grid use 18.  Neither
+# the word nor the degree has a cap, so only cones with at most
+# _SIBLING_ROWS siblings are kept, each holding at most 64 * 65 / 2
+# letters, and the memo keeps at most 128 of them.
+_SIBLING_ROWS = 64
+_memo_siblings = functools.lru_cache(maxsize=128)(_siblings)
 
 
 def _embed_letters(w: Word, g: VnElement) -> int:

@@ -228,40 +228,84 @@ def _require_same_alphabet(g: VnElement, h: VnElement) -> None:
         raise AlphabetMismatchError(f"{g.alphabet} vs {h.alphabet}")
 
 
-def compose(g: VnElement, h: VnElement) -> VnElement:
-    """The element x -> g(h(x)); in the product g*h the right factor acts first.
+def _rows(g_dom, g_img, h_dom, h_img) -> tuple[list[Letters], list[Letters]]:
+    """The unreduced table of g*h, as a domain list and an image list in
+    sorted domain order, from the sorted tables of g and h.
 
     Each row w -> v of h meets g at the last domain word u of g not after
     v (found by bisection).  If u prefixes v, the row becomes w -> g(u).s
     for v = u.s.  Otherwise v stops short of g's domain, and the domain
-    words of g that extend v sit together from the next index; each
-    v.s there gives a row w.s -> g(v.s).  The rows come out in sorted
-    domain order, since h's domain is sorted and no extension of w sorts
-    past the next domain word of h, so they go straight to the reducer.
-    A product with the identity is the other factor, returned as it is.
+    words of g that extend v run from the next index; each v.s there
+    gives a row w.s -> g(v.s).  The rows come out in sorted domain order,
+    since h's domain is sorted and no extension of w sorts past the next
+    domain word of h.  Neither table need be canonical: the reducer's
+    contract, sorted rows over a partition set, holds for the output
+    whenever it holds for both inputs, so products can be folded through
+    this pass and reduced once.  The output has at most |g| + |h| - 1
+    rows, one per leaf of the common refinement of h's images and g's
+    domain, so a fold stays linear in its factors.
+    """
+    dom: list[Letters] = []
+    img: list[Letters] = []
+    for w, v in zip(h_dom, h_img):
+        # When v sorts before g_dom[0], i is -1 and g_dom[-1] is no prefix
+        # of v: a prefix of v would sort at or before v.
+        i = bisect_right(g_dom, v) - 1
+        u = g_dom[i]
+        if v[: len(u)] == u:
+            dom.append(w)
+            img.append(g_img[i] + v[len(u) :])
+            continue
+        # The words that extend v are exactly those from v up to, not
+        # including, v with its last letter raised by one (a letter that
+        # may be n + 1): a word after v that does not extend it is larger
+        # at its first difference from v, so it sorts at or past that
+        # bound.  No domain word of g equals or prefixes v, so the run
+        # starts at i + 1.  Every word of g extends the empty v.
+        stop = bisect_left(g_dom, v[:-1] + (v[-1] + 1,), i + 1) if v else len(g_dom)
+        cut = len(v)
+        dom += [w + u[cut:] for u in g_dom[i + 1 : stop]]
+        img += g_img[i + 1 : stop]
+    return dom, img
+
+
+def compose(g: VnElement, h: VnElement) -> VnElement:
+    """The element x -> g(h(x)); in the product g*h the right factor acts first.
+
+    One pass of ``_rows`` and one reduction.  A product with the identity
+    is the other factor, returned as it is.
     """
     _require_same_alphabet(g, h)
     if h.dom == ((),):
         return g
     if g.dom == ((),):
         return h
-    g_dom, g_img = g.dom, g.img
-    rows: list[Row] = []
-    for w, v in zip(h.dom, h.img):
-        # When v sorts before g_dom[0], i is -1 and g_dom[-1] is no prefix
-        # of v: a prefix of v would sort at or before v.
-        i = bisect_right(g_dom, v) - 1
-        u = g_dom[i]
-        if v[: len(u)] == u:
-            rows.append((w, g_img[i] + v[len(u) :]))
-            continue
-        cut = len(v)
-        for j in range(i + 1, len(g_dom)):
-            u = g_dom[j]
-            if u[:cut] != v:
-                break
-            rows.append((w + u[cut:], g_img[j]))
-    return _canonical(rows, g.alphabet)
+    return _canonical(zip(*_rows(g.dom, g.img, h.dom, h.img)), g.alphabet)
+
+
+def product(*factors: VnElement) -> VnElement:
+    """The product f1 * f2 * ... * fm, in which the last factor acts first.
+
+    Every factor's alphabet is checked against the first's, in order,
+    before anything is built, so the error names the first mismatch as a
+    chain of ``compose`` calls would.  Identity factors are skipped.  The
+    other factors are folded left to right through ``_rows`` into one
+    unreduced table, which is reduced once: only the whole product is
+    canonical, so the intermediate tables need no reduction.  A single
+    factor that is not the identity is returned as it is.
+    """
+    first = factors[0]
+    for f in factors[1:]:
+        _require_same_alphabet(first, f)
+    moving = [f for f in factors if f.dom != ((),)]
+    if not moving:
+        return first
+    if len(moving) == 1:
+        return moving[0]
+    dom, img = moving[0].dom, moving[0].img
+    for f in moving[1:]:
+        dom, img = _rows(dom, img, f.dom, f.img)
+    return _canonical(zip(dom, img), first.alphabet)
 
 
 def invert(g: VnElement) -> VnElement:
@@ -318,12 +362,12 @@ def power(g: VnElement, k: int) -> VnElement:
 
 def conjugate(g: VnElement, h: VnElement) -> VnElement:
     """h^-1 * g * h."""
-    return compose(compose(invert(h), g), h)
+    return product(invert(h), g, h)
 
 
 def commutator(g: VnElement, h: VnElement) -> VnElement:
     """g * h * g^-1 * h^-1."""
-    return compose(compose(g, h), compose(invert(g), invert(h)))
+    return product(g, h, invert(g), invert(h))
 
 
 def _image(g: VnElement, w: Letters) -> Letters | None:

@@ -33,6 +33,7 @@ from .element import (
     invert,
     is_volume_preserving,
     power,
+    product,
     random_element,
     sign,
 )
@@ -84,19 +85,44 @@ def _compare(name: str, params: str, lhs: VnElement, rhs: VnElement) -> Verifica
 
 # The checks of a suite share their operands: eq2's check k builds the
 # spine embedding that check k + 1 conjugates, and the other suites
-# conjugate by the same few powers of t and the same spinal elements for
-# every k.  Each memo is keyed by the elements it builds from, never by the
-# alphabet alone, so a rebound ``make_t`` gets powers of its own, and looks
-# its constructions up by module name when it builds, so a rebound or
-# traced one sees each call.  The memos keep a few small entries: the
-# degree and k have no cap, and t^k holds about k * k * (degree - 1)
-# letters, so powers past _SHARED_POWER are built for each check.
+# conjugate by the same few powers of t, the same spinal elements and the
+# same spinal t-conjugates for every k, and compare with the same deep
+# spine factors.  Each memo is keyed by the elements it builds from, never
+# by the alphabet alone, so a rebound ``make_t`` gets powers of its own,
+# and looks its constructions up by module name when it builds, so a
+# rebound or traced one sees each call.  The memos keep a few small
+# entries: the degree and k have no cap, and t^k holds about
+# k * k * (degree - 1) letters, so operands for k past _SHARED_POWER are
+# built for each check.
 _SHARED_POWER = 16
 
 
-@functools.lru_cache(maxsize=1)
-def _spine_embedding(k: int, gamma: VnElement) -> VnElement:
-    return embed(spine_cone(k), gamma)
+def _carried_embedding():
+    """eq2's spine embedding ``embed(spine_cone(k), gamma)``, kept from one
+    check to the next, with a ``cache_clear`` as the other memos have.
+    The one entry ``(gamma, k, embedding)`` is matched by the identity of
+    gamma, so no call hashes a table; the entry holds gamma itself, so its
+    id cannot pass to another element while kept."""
+    entry = (None, 0, None)
+
+    def spine_embedding(k: int, gamma: VnElement) -> VnElement:
+        nonlocal entry
+        held, held_k, embedding = entry
+        if held is gamma and held_k == k:
+            return embedding
+        embedding = embed(spine_cone(k), gamma)
+        entry = (gamma, k, embedding)
+        return embedding
+
+    def cache_clear() -> None:
+        nonlocal entry
+        entry = (None, 0, None)
+
+    spine_embedding.cache_clear = cache_clear
+    return spine_embedding
+
+
+_spine_embedding = _carried_embedding()
 
 
 def _build_powers(t: VnElement, k: int) -> tuple[VnElement, VnElement]:
@@ -112,11 +138,44 @@ def _spinal(entries: tuple[VnElement, ...], alphabet: Alphabet) -> VnElement:
     return make_s_alpha(entries, alphabet)
 
 
+def _conjugate_by(g: VnElement, t_inv: VnElement, t_k: VnElement) -> VnElement:
+    return product(t_inv, g, t_k)
+
+
+_memo_spinal_shift = functools.lru_cache(maxsize=64)(_conjugate_by)
+
+
+def _build_spine_factor(sig: VnElement, k: int) -> VnElement:
+    return commutator(sig, embed(spine_cone(k), sig))
+
+
+_memo_spine_factor = functools.lru_cache(maxsize=32)(_build_spine_factor)
+
+
+def _conjugators(alphabet: Alphabet, k: int) -> tuple[VnElement, VnElement]:
+    """t^-k and t^k for the t that ``make_t`` gives now."""
+    t = make_t(alphabet)
+    return _memo_powers(t, k) if k <= _SHARED_POWER else _build_powers(t, k)
+
+
 def _shift(g: VnElement, k: int) -> VnElement:
     """g conjugated by t^k: t^-k * g * t^k."""
-    t = make_t(g.alphabet)
-    t_inv, t_k = _memo_powers(t, k) if k <= _SHARED_POWER else _build_powers(t, k)
-    return compose(compose(t_inv, g), t_k)
+    return _conjugate_by(g, *_conjugators(g.alphabet, k))
+
+
+def _spinal_shift(s: VnElement, k: int) -> VnElement:
+    """``_shift(s, k)`` for a spinal element s, which eq3, trick and
+    isolation all conjugate by the same powers, kept for k up to
+    _SHARED_POWER."""
+    conjugate_by = _memo_spinal_shift if k <= _SHARED_POWER else _conjugate_by
+    return conjugate_by(s, *_conjugators(s.alphabet, k))
+
+
+def _spine_factor(sig: VnElement, k: int) -> VnElement:
+    """The deep spine factor [sig, sig embedded at 1^k] of trick and
+    isolation, kept for k up to _SHARED_POWER."""
+    build = _memo_spine_factor if k <= _SHARED_POWER else _build_spine_factor
+    return build(sig, k)
 
 
 def verify_translation(
@@ -142,10 +201,10 @@ def _shifted_spinal(entries, alphabet: Alphabet, k: int) -> VnElement:
     At k=0 this is the reference form for make_s_alpha's case table.
     """
     ell = len(entries)
-    out = embed(spine_cone(ell + k + 1), sigma_dot(alphabet))
-    for i, g in enumerate(entries, start=1):
-        out = compose(out, embed(spine_cone(i + k).child(2), g))
-    return out
+    return product(
+        embed(spine_cone(ell + k + 1), sigma_dot(alphabet)),
+        *[embed(spine_cone(i + k).child(2), g) for i, g in enumerate(entries, start=1)],
+    )
 
 
 def verify_s_alpha_conjugation(alpha, k: int) -> VerificationReport:
@@ -154,7 +213,7 @@ def verify_s_alpha_conjugation(alpha, k: int) -> VerificationReport:
     params = f"n={alphabet.degree} ell={len(entries)} k={k}"
     if k < 0:
         return VerificationReport("shift-conjugation", params, SKIP, reason="k must be >= 0")
-    lhs = _shift(_spinal(entries, alphabet), k)
+    lhs = _spinal_shift(_spinal(entries, alphabet), k)
     rhs = _shifted_spinal(entries, alphabet, k)
     return _compare("shift-conjugation", params, lhs, rhs)
 
@@ -180,12 +239,14 @@ def verify_commutator_trick(alpha, k: int) -> VerificationReport:
             reason=f"entries {bad} in the top k positions are nontrivial",
         )
     s = _spinal(entries, alphabet)
-    sig = sigma_dot(alphabet)
-    lhs = commutator(s, _shift(s, k))
-    rhs = embed(spine_cone(ell + 1), commutator(sig, embed(spine_cone(k), sig)))
-    for i in range(k + 1, ell + 1):
-        inner = commutator(entries[i - 1], entries[i - k - 1])
-        rhs = compose(rhs, embed(spine_cone(i).child(2), inner))
+    lhs = commutator(s, _spinal_shift(s, k))
+    rhs = product(
+        embed(spine_cone(ell + 1), _spine_factor(sigma_dot(alphabet), k)),
+        *[
+            embed(spine_cone(i).child(2), commutator(entries[i - 1], entries[i - k - 1]))
+            for i in range(k + 1, ell + 1)
+        ],
+    )
     return _compare("commutator-product", params, lhs, rhs)
 
 
@@ -208,21 +269,21 @@ def verify_isolation(plan: AlphaPlan, i: int, j: int) -> VerificationReport:
     k = j - i
     sig = sigma_dot(plan.alphabet)
     s = _spinal(plan.entries, plan.alphabet)
-    lhs = commutator(s, _shift(s, k))
-    gamma = commutator(sig, embed(spine_cone(k), sig))
+    lhs = commutator(s, _spinal_shift(s, k))
+    gamma = _spine_factor(sig, k)
     deep = embed(spine_cone(plan.length + 1), gamma)
     cone = embed(spine_cone(j).child(2), commutator(plan.entry(j), plan.entry(i)))
+    rhs = compose(deep, cone)
     if not is_volume_preserving(gamma):
         return VerificationReport(
-            name, params, FAIL, lhs=lhs, rhs=compose(deep, cone),
-            reason="spine factor is not volume preserving",
+            name, params, FAIL, lhs=lhs, rhs=rhs, reason="spine factor is not volume preserving"
         )
-    if compose(deep, cone) != compose(cone, deep):
+    flipped = compose(cone, deep)
+    if rhs != flipped:
         return VerificationReport(
-            name, params, FAIL, lhs=compose(deep, cone), rhs=compose(cone, deep),
-            reason="right-hand factors do not commute",
+            name, params, FAIL, lhs=rhs, rhs=flipped, reason="right-hand factors do not commute"
         )
-    return _compare(name, params, lhs, compose(deep, cone))
+    return _compare(name, params, lhs, rhs)
 
 
 def in_maximal_subgroup(g: VnElement) -> bool:

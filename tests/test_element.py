@@ -21,6 +21,8 @@ from vncalc import element
 from vncalc.element import (
     ConeKind,
     _canonical,
+    _expand_at,
+    _rows,
     apply_point,
     apply_word,
     canonicalize,
@@ -35,6 +37,7 @@ from vncalc.element import (
     order_bounded,
     parse_element,
     power,
+    product,
     random_element,
     sign,
     sign_refinement_probe,
@@ -57,6 +60,7 @@ from vncalc.words import (
     Alphabet,
     PartitionSet,
     Word,
+    _check_antichain,
     _random_leaves,
     point_normalize,
 )
@@ -467,6 +471,122 @@ def test_canonical_needs_unsplit_siblings(case):
 )
 def test_compose_at_the_bisection_edges(g, h):
     assert format_element(compose(g, h)) == format_element(naive_compose(g, h))
+
+
+# --- products folded through one reduction ----------------------------------
+# ``product`` folds its factors through ``_rows`` and reduces once; the
+# reference is a left fold of the naive product, which reduces every step.
+
+
+def naive_product(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = naive_compose(out, f)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_product_matches_a_fold_of_naive_compose(n, m):
+    """m 40-expansion factors, then the identity in each position in turn,
+    then every factor the identity."""
+    alphabet = Alphabet(n)
+    rng = random.Random(100 * n + m)
+    factors = [random_element(alphabet, rng, 40, max_depth=None) for _ in range(m)]
+    cases = [factors]
+    cases += [factors[:p] + [identity(alphabet)] + factors[p + 1 :] for p in range(m)]
+    cases.append([identity(alphabet)] * m)
+    for case in cases:
+        expected = naive_product(case)
+        assert format_element(product(*case)) == format_element(expected)
+
+
+def test_product_of_one_moving_factor_is_that_factor():
+    g = make_t(A3)
+    assert product(identity(A3), g, identity(A3)) is g
+    assert product(g) is g
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_conjugate_and_commutator_match_their_compose_forms(n):
+    alphabet = Alphabet(n)
+    rng = random.Random(n)
+    pool = [random_element(alphabet, rng, 40, max_depth=None) for _ in range(4)]
+    pool += [identity(alphabet), make_t(alphabet)]
+    for g in pool:
+        for h in pool:
+            assert conjugate(g, h) == compose(compose(invert(h), g), h)
+            assert commutator(g, h) == compose(compose(g, h), compose(invert(g), invert(h)))
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (sigma_dot(A2), sigma_dot(A3)),
+        (identity(A2), make_t(A3)),
+        (make_t(A5), identity(A2)),
+        (identity(A3), identity(A5)),
+    ],
+)
+def test_conjugate_and_commutator_keep_the_alphabet_error_of_their_compose_forms(g, h):
+    for fast, slow in [
+        (lambda: conjugate(g, h), lambda: compose(compose(invert(h), g), h)),
+        (
+            lambda: commutator(g, h),
+            lambda: compose(compose(g, h), compose(invert(g), invert(h))),
+        ),
+    ]:
+        with pytest.raises(AlphabetMismatchError) as got:
+            fast()
+        with pytest.raises(AlphabetMismatchError) as want:
+            slow()
+        assert str(got.value) == str(want.value)
+
+
+def test_rows_takes_a_non_canonical_left_factor_up_to_its_last_word():
+    # sigma with its row 2 -> 1 refined: h's row 1 -> 2 stops short of the
+    # run 2.1, 2.2, which ends the domain, and the bound past the run is
+    # the word 3, a letter above n = 2.
+    sig = sigma_dot(A2)
+    left = _expand_at(list(zip(sig.dom, sig.img)), (2,), A2)
+    dom, img = _rows([w for w, _ in left], [v for _, v in left], sig.dom, sig.img)
+    assert (dom, img) == ([(1, 1), (1, 2), (2,)], [(1, 1), (1, 2), (2,)])
+    assert _canonical(zip(dom, img), A2) == identity(A2)
+
+
+@settings(max_examples=40)
+@given(deep_products(), st.integers(0, 20), st.integers(0, 2**32 - 1))
+def test_rows_of_a_refined_left_factor_meet_the_reducer_contract(factors, refinements, seed):
+    """The left factor's table is refined at random rows, so it is not
+    canonical; ``_rows`` must still give sorted rows over a partition set,
+    at most |g| + |h| - 1 of them, that reduce to the product."""
+    g, h = factors
+    rng = random.Random(seed)
+    left = list(zip(g.dom, g.img))
+    for _ in range(refinements):
+        left = _expand_at(left, rng.choice(left)[0], g.alphabet)
+    dom, img = _rows([w for w, _ in left], [v for _, v in left], h.dom, h.img)
+    assert dom == sorted(dom) and len(set(dom)) == len(dom)
+    _check_antichain(dom, g.alphabet.degree)
+    _check_antichain(sorted(img), g.alphabet.degree)
+    assert len(dom) <= len(left) + len(h.dom) - 1
+    assert format_element(_canonical(zip(dom, img), g.alphabet)) == format_element(
+        naive_compose(g, h)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_rows_reaches_every_run_end(n):
+    """Each image of h that ends in the letter n and stops short of g's
+    domain, so the run bound holds the letter n + 1; with the identity as
+    h, the empty image takes all of g's rows."""
+    alphabet = Alphabet(n)
+    g = embed(Word((n,) * 3), make_tau(alphabet))
+    for h in (dot(Permutation.from_cycles([(1, n)], n), alphabet), make_tau(alphabet)):
+        dom, img = _rows(g.dom, g.img, h.dom, h.img)
+        assert any(v[-1:] == (n,) for v in h.img)
+        assert _canonical(zip(dom, img), alphabet) == naive_compose(g, h)
+    assert _rows(g.dom, g.img, ((),), ((),)) == (list(g.dom), list(g.img))
 
 
 # --- the letter-tuple storage against Word-built references --------------------

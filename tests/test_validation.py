@@ -27,11 +27,13 @@ from conftest import (
     outcome,
     spinal_gens,
 )
+from vncalc.cli import main
 from vncalc.constructions import (
     AlphaPlan,
     Permutation,
     SidonSet,
     default_base,
+    dot,
     embed,
     load_alpha_plan,
     make_s_alpha,
@@ -56,11 +58,13 @@ from vncalc.element import (
     random_element,
 )
 from vncalc.errors import (
+    AlphabetMismatchError,
     FileFormatError,
     LevelTooSmallError,
     MalformedWordError,
     NotABijectionError,
     ParameterRangeError,
+    PlanInvariantError,
     VnError,
 )
 from vncalc.search import GeneratorSet, grow_ball, load_ball, save_ball
@@ -727,3 +731,114 @@ def test_range_errors_are_typed(call, error, message):
     assert type(info.value) is error
     assert isinstance(info.value, VnError) and isinstance(info.value, ValueError)
     assert str(info.value) == message
+
+
+# --- typed errors of the constructions, from the library and the CLI -----------
+# Each raise in ``vncalc.constructions`` that the tests above leave out.
+# A row gives the files it needs, the library call, its error and text,
+# and the command that reaches the same error, or None where no command
+# does: the CLI builds ``dot`` at the session's degree, and it reads every
+# sequence from a plan file, whose reader refuses an entry of another
+# degree before ``make_s_alpha`` or ``AlphaPlan.from_entries`` sees it.
+# Every command that fails prints ``error: <text>`` and exits 1.  ``{d}``
+# stands for the directory that holds the files; ``s2.elt`` and ``s3.elt``
+# are sigma at n = 2 and n = 3.
+
+SIG2, SIG3 = sigma_dot(Alphabet(2)), sigma_dot(Alphabet(3))
+
+
+def plan_file(text):
+    return {"s2.elt": format_element(SIG2), "s3.elt": format_element(SIG3), "p.alpha": text}
+
+
+def load_plan(d):
+    return load_alpha_plan(os.path.join(d, "p.alpha"))
+
+
+MAKE_S = ["make", "s", "-n", "2", "--alpha", "{d}/p.alpha"]
+
+CONSTRUCTION_ERRORS = {
+    "dot-degree": (
+        {},
+        lambda d: dot(Permutation((2, 1, 3)), Alphabet(2)),
+        AlphabetMismatchError,
+        "permutation degree 3 vs alphabet degree 2",
+        None,
+    ),
+    "spinal-mixed": (
+        {},
+        lambda d: make_s_alpha([SIG2, SIG3]),
+        AlphabetMismatchError,
+        "sequence entries use mixed alphabets",
+        None,
+    ),
+    "plan-entries-mixed": (
+        {},
+        lambda d: AlphaPlan.from_entries([SIG2, SIG3]),
+        AlphabetMismatchError,
+        "entries use mixed alphabets",
+        None,
+    ),
+    "plan-not-sidon": (
+        plan_file("alpha 2 3\n1 @ s2.elt\n2 @ s2.elt\n3 @ s2.elt\n"),
+        load_plan,
+        PlanInvariantError,
+        "pairwise differences collide in [1, 2, 3]",
+        MAKE_S,
+    ),
+    "plan-padding": (
+        plan_file("alpha 2 5\n1 @ s2.elt\n2 @ s2.elt\n"),
+        load_plan,
+        PlanInvariantError,
+        "entry 1 must be trivial below the padding width 1",
+        MAKE_S,
+    ),
+    "plan-base-mixed": (
+        {"s2.elt": format_element(SIG2), "s3.elt": format_element(SIG3)},
+        lambda d: plan_alpha([SIG2, SIG3]),
+        AlphabetMismatchError,
+        "base elements use mixed alphabets",
+        ["plan", "--base", "{d}/s2.elt", "{d}/s3.elt"],
+    ),
+    "plan-empty": (plan_file("\n\n"), load_plan, FileFormatError, "empty plan file", MAKE_S),
+    "plan-line": (
+        plan_file("alpha 2 2\n1 s2.elt\n"),
+        load_plan,
+        FileFormatError,
+        "line 2: expected '<index> @ <element-file>', got '1 s2.elt'",
+        MAKE_S,
+    ),
+    "plan-index": (
+        plan_file("alpha 2 2\n3 @ s2.elt\n"),
+        load_plan,
+        FileFormatError,
+        "line 2: index 3 outside 1..2",
+        MAKE_S,
+    ),
+    "plan-entry-degree": (
+        plan_file("alpha 2 2\n1 @ s3.elt\n"),
+        load_plan,
+        FileFormatError,
+        "line 2: element at index 1 has degree 3, plan has 2",
+        MAKE_S,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "files, call, error, message, argv",
+    CONSTRUCTION_ERRORS.values(),
+    ids=CONSTRUCTION_ERRORS,
+)
+def test_construction_errors_are_typed_in_the_library_and_the_cli(
+    tmp_path, capsys, files, call, error, message, argv
+):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(error) as info:
+        call(str(tmp_path))
+    assert type(info.value) is error
+    assert str(info.value) == message
+    if argv is not None:
+        assert main([arg.format(d=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")

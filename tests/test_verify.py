@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import W, naive_enumerate_en_group, naive_verify_grid, tuple_closure
+from conftest import W, naive_embed, naive_enumerate_en_group, naive_verify_grid, tuple_closure
 from vncalc.constructions import (
     default_base,
     dot,
@@ -32,6 +32,7 @@ from vncalc.element import (
     power,
     random_element,
 )
+from vncalc import constructions as constructions_module
 from vncalc import verify as verify_module
 from vncalc.errors import AlphabetMismatchError, NotVolumePreservingError
 from vncalc.verify import (
@@ -484,6 +485,42 @@ def test_a_wrong_t_fails_every_check_that_conjugates_by_it(monkeypatch, suite, n
         assert rep.lhs != rep.rhs
 
 
+# The maximal, en and abelianization suites compute their verdicts from
+# membership tests, closure orders and parities, not from two sides, so a
+# fault planted through a seam each reads by module name must turn a line
+# of each into FAIL.
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_tau_in_the_maximal_subgroup_fails_the_maximal_suite(monkeypatch, n):
+    monkeypatch.setattr(verify_module, "make_tau", sigma_dot)
+    lines = [r.line() for r in verify_module.maximal_suite((n,))]
+    assert f"maximal-membership n={n} tau FAIL" in lines
+    assert sum(line.endswith(" FAIL") for line in lines) == 1
+
+
+def test_a_closure_with_a_deeper_copy_fails_the_en_suite(monkeypatch):
+    def with_a_deeper_copy(gens, level=None):
+        gens = list(gens)
+        return enumerate_en_group(gens + [embed(Word((1,)), gens[0])], level)
+
+    monkeypatch.setattr(verify_module, "enumerate_en_group", with_a_deeper_copy)
+    lines = [r.line() for r in verify_module.en_suite((2, 3, 5))]
+    for n in (2, 3, 5):
+        assert f"finite-closure n={n} swap-only FAIL" in lines
+    assert "finite-closure n=2 dihedral-pair PASS" in lines
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_commutator_that_returns_its_first_argument_fails_abelianization(monkeypatch, n):
+    monkeypatch.setattr(verify_module, "commutator", lambda g, h: g)
+    lines = [r.line() for r in abelianization_suite((n,), 20, 0)]
+    assert lines == [
+        f"abelianization n={n} swap PASS",
+        f"abelianization n={n} commutators x20 FAIL",
+    ]
+
+
 # --- shared operands ---------------------------------------------------------------------------
 # The suites build each operand that their checks share once: a spine
 # embedding, a power of t with its inverse, a spinal element.
@@ -523,27 +560,76 @@ def test_the_grid_builds_each_shared_operand_once(monkeypatch):
     """On the default grid (n = 2, 3, 5, kmax 5, count 200) eq2 embeds
     each of its 606 elements at the six spine depths once, 3,636 embeds in
     place of two per check (6,060); eq3, trick and isolation build each of
-    their 18 powers t^k once in place of once per check (96), and each of
-    the 9 planned spinal elements once in place of once per check (96)."""
+    their 18 powers t^k once in place of once per check (96), each of the
+    9 planned spinal elements once in place of once per check (96), and
+    each of the 54 spinal t-conjugates (9 elements, k = 0..5) once in
+    place of once per check (96).  Trick and isolation build the deep
+    spine factor [sigma, sigma embedded at 1^k] once for each of their 15
+    (degree, k) pairs, in place of once per check (42): each build is the
+    one ``embed`` of sigma that those two suites make."""
     calls = Counter()
+    made = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
             calls[name] += 1
-            return fn(*args, **kwargs)
+            made.append((name, args, result))
+            return result
 
         return wrapper
 
-    for name in ("embed", "power", "make_s_alpha"):
-        monkeypatch.setattr(verify_module, name, counted(name, getattr(verify_module, name)))
+    def count(*names):
+        for name in names:
+            fn = getattr(verify_module, name)
+            monkeypatch.setattr(verify_module, name, counted(name, fn))
+
+    count("embed", "power", "make_s_alpha")
     clear_verify_memos()
     assert len(run_suites("eq2", (2, 3, 5))) == 3030
     assert calls["embed"] == 3636
     clear_verify_memos()
     calls.clear()
-    for name in ("eq3", "trick", "isolation"):
+    run_suites("eq3", (2, 3, 5))
+    made.clear()
+    for name in ("trick", "isolation"):
         run_suites(name, (2, 3, 5))
     assert (calls["power"], calls["make_s_alpha"]) == (18, 9)
+    on_sigma = [a for name, a, _ in made if name == "embed" and a[1] == sigma_dot(a[1].alphabet)]
+    assert len(on_sigma) == 15
+    count("product")
+    clear_verify_memos()
+    made.clear()
+    for name in ("eq3", "trick", "isolation"):
+        run_suites(name, (2, 3, 5))
+    spinals = {result for name, _, result in made if name == "make_s_alpha"}
+    conjugates = [a for name, a, _ in made if name == "product" and len(a) == 3 and a[1] in spinals]
+    assert len(spinals) == 9 and len(conjugates) == 54
+
+
+def test_the_memos_keep_no_operand_past_their_bounds():
+    """Spinal t-conjugates and deep spine factors are kept only for
+    k <= _SHARED_POWER, and embed's sibling words only for cones with at
+    most _SIBLING_ROWS of them; the checks past the bounds still pass."""
+    memos = (verify_module._memo_spinal_shift, verify_module._memo_spine_factor)
+    entries = [identity(A2)] * 3
+    clear_verify_memos()
+    for k in (verify_module._SHARED_POWER + 1, verify_module._SHARED_POWER + 3):
+        assert verify_commutator_trick(entries, k).passed
+        assert verify_s_alpha_conjugation(entries, k).passed
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+    assert verify_commutator_trick(entries, verify_module._SHARED_POWER).passed
+    assert [memo.cache_info().currsize for memo in memos] == [1, 1]
+
+    siblings = constructions_module._memo_siblings
+    siblings.cache_clear()
+    assert embed(spine_cone(300), sigma_dot(A2)) == naive_embed(spine_cone(300), sigma_dot(A2))
+    assert siblings.cache_info().currsize == 0
+    bound = constructions_module._SIBLING_ROWS
+    for n, length in [(2, bound), (5, bound // 4), (5, bound // 4 + 1), (2, bound + 1)]:
+        g = sigma_dot(Alphabet(n))
+        assert embed(spine_cone(length), g) == naive_embed(spine_cone(length), g)
+    assert siblings.cache_info().currsize == 2
 
 
 # --- suite driver ------------------------------------------------------------------------------
