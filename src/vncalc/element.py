@@ -228,84 +228,79 @@ def _require_same_alphabet(g: VnElement, h: VnElement) -> None:
         raise AlphabetMismatchError(f"{g.alphabet} vs {h.alphabet}")
 
 
-def _rows(g_dom, g_img, h_dom, h_img) -> tuple[list[Letters], list[Letters]]:
-    """The unreduced table of g*h, as a domain list and an image list in
-    sorted domain order, from the sorted tables of g and h.
-
-    Each row w -> v of h meets g at the last domain word u of g not after
-    v (found by bisection).  If u prefixes v, the row becomes w -> g(u).s
-    for v = u.s.  Otherwise v stops short of g's domain, and the domain
-    words of g that extend v run from the next index; each v.s there
-    gives a row w.s -> g(v.s).  The rows come out in sorted domain order,
-    since h's domain is sorted and no extension of w sorts past the next
-    domain word of h.  Neither table need be canonical: the reducer's
-    contract, sorted rows over a partition set, holds for the output
-    whenever it holds for both inputs, so products can be folded through
-    this pass and reduced once.  The output has at most |g| + |h| - 1
-    rows, one per leaf of the common refinement of h's images and g's
-    domain, so a fold stays linear in its factors.
-    """
-    dom: list[Letters] = []
-    img: list[Letters] = []
-    for w, v in zip(h_dom, h_img):
-        # When v sorts before g_dom[0], i is -1 and g_dom[-1] is no prefix
-        # of v: a prefix of v would sort at or before v.
-        i = bisect_right(g_dom, v) - 1
-        u = g_dom[i]
-        if v[: len(u)] == u:
-            dom.append(w)
-            img.append(g_img[i] + v[len(u) :])
-            continue
-        # The words that extend v are exactly those from v up to, not
-        # including, v with its last letter raised by one (a letter that
-        # may be n + 1): a word after v that does not extend it is larger
-        # at its first difference from v, so it sorts at or past that
-        # bound.  No domain word of g equals or prefixes v, so the run
-        # starts at i + 1.  Every word of g extends the empty v.
-        stop = bisect_left(g_dom, v[:-1] + (v[-1] + 1,), i + 1) if v else len(g_dom)
-        cut = len(v)
-        dom += [w + u[cut:] for u in g_dom[i + 1 : stop]]
-        img += g_img[i + 1 : stop]
-    return dom, img
-
-
 def compose(g: VnElement, h: VnElement) -> VnElement:
     """The element x -> g(h(x)); in the product g*h the right factor acts first.
 
-    One pass of ``_rows`` and one reduction.  A product with the identity
-    is the other factor, returned as it is.
+    g must be canonical, as every ``VnElement`` the package builds is; h
+    need not be.  A product with the identity is the other factor, as it
+    is.  One pass over h's rows reduces only the rows it makes: a row
+    w -> v of h meets g at the last domain word u of g not after v.  If
+    v = u.s, the row w -> g(u).s takes ``_canonical``'s stack step.  Else
+    the rows w.s -> g(v.s), for g's domain words v.s, are pushed as they
+    are; a row that h fixes takes g's words, and an exact hit v = u g's
+    image, themselves.  The rows come sorted, at most |g| + |h| - 1.
+
+    Such copied rows are final.  A merge of a caret c needs c.1..c.n to
+    be single rows.  If some c.i is a copied word w.s, c extends w, so
+    c's children lie in the cone w, whose rows are g's rows under v
+    renamed, with their images; since g is canonical, c does not merge.
+    The run has at least n rows, so the cone w is never one row, the
+    child of a merge above it.  The stack is thus the one that pushing
+    the run row by row gives, under ``_canonical``'s invariant.
     """
     _require_same_alphabet(g, h)
     if h.dom == ((),):
         return g
     if g.dom == ((),):
         return h
-    return _canonical(zip(*_rows(g.dom, g.img, h.dom, h.img)), g.alphabet)
+    n = g.alphabet.degree
+    m = n - 1
+    tails = _tails(n)
+    last = tails[-1]
+    g_dom, g_img = g.dom, g.img
+    dom: list[Letters] = []
+    img: list[Letters] = []
+    for w, v in zip(h.dom, h.img):
+        # When v sorts before g_dom[0], i is -1 and g_dom[-1] is no prefix
+        # of v: a prefix of v would sort at or before v.
+        i = bisect_right(g_dom, v) - 1
+        u = g_dom[i]
+        cut = len(u)
+        if v[:cut] == u:
+            x = g_img[i] if cut == len(v) else g_img[i] + v[cut:]
+            while w and w[-1] == n and x and x[-1] == n:
+                k = len(dom) - m
+                if len(dom[k]) != len(w):
+                    break
+                base = x[:-1]
+                if img[-1] != base + last or (m > 1 and img[k:] != [base + t for t in tails]):
+                    break
+                del dom[k:], img[k:]
+                w, x = w[:-1], base
+            dom.append(w)
+            img.append(x)
+            continue
+        # The run of g's words that extend v starts at i + 1, and ends
+        # before v with its last letter raised by one (perhaps to n + 1):
+        # a later word that does not extend v is larger at its first
+        # difference from v.  h is not the identity, so v is not empty.
+        stop = bisect_left(g_dom, v[:-1] + (v[-1] + 1,), i + 1)
+        cut, run = len(v), g_dom[i + 1 : stop]
+        dom += run if w == v else [w + u[cut:] for u in run]
+        img += g_img[i + 1 : stop]
+    return VnElement(g.alphabet, tuple(dom), tuple(img))
 
 
 def product(*factors: VnElement) -> VnElement:
-    """The product f1 * f2 * ... * fm, in which the last factor acts first.
-
-    Every factor's alphabet is checked against the first's, in order,
-    before anything is built, so the error names the first mismatch as a
-    chain of ``compose`` calls would.  Identity factors are skipped.  The
-    other factors are folded left to right through ``_rows`` into one
-    unreduced table, which is reduced once: only the whole product is
-    canonical, so the intermediate tables need no reduction.  A single
-    factor that is not the identity is returned as it is.
+    """The product f1 * f2 * ... * fm, in which the last factor acts first:
+    a left fold of ``compose``.  Every factor's alphabet is checked against
+    the first's, in order, before anything is built, so the error names
+    the first mismatch as a chain of ``compose`` calls would.
     """
     first = factors[0]
     for f in factors[1:]:
         _require_same_alphabet(first, f)
-    moving = [f for f in factors if f.dom != ((),)]
-    if not moving:
-        return first
-    if len(moving) == 1:
-        return moving[0]
-    dom, img = moving[0].dom, moving[0].img
-    for f in moving[1:]:
-        dom, img = _rows(dom, img, f.dom, f.img)
-    return _canonical(zip(dom, img), first.alphabet)
+    return functools.reduce(compose, factors)
 
 
 def invert(g: VnElement) -> VnElement:

@@ -182,7 +182,6 @@ def _primitive_root(per: tuple[int, ...]) -> tuple[int, ...]:
     for d in range(1, n + 1):
         if n % d == 0 and per == per[:d] * (n // d):
             return per[:d]
-    return per
 
 
 @dataclass(frozen=True, order=True)

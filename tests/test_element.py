@@ -20,9 +20,9 @@ from conftest import (
 from vncalc import element
 from vncalc.element import (
     ConeKind,
+    VnElement,
     _canonical,
     _expand_at,
-    _rows,
     apply_point,
     apply_word,
     canonicalize,
@@ -60,7 +60,6 @@ from vncalc.words import (
     Alphabet,
     PartitionSet,
     Word,
-    _check_antichain,
     _random_leaves,
     point_normalize,
 )
@@ -473,9 +472,9 @@ def test_compose_at_the_bisection_edges(g, h):
     assert format_element(compose(g, h)) == format_element(naive_compose(g, h))
 
 
-# --- products folded through one reduction ----------------------------------
-# ``product`` folds its factors through ``_rows`` and reduces once; the
-# reference is a left fold of the naive product, which reduces every step.
+# --- products folded through compose ----------------------------------------
+# ``product`` folds its factors through ``compose``; the reference is a
+# left fold of the naive product.
 
 
 def naive_product(factors):
@@ -543,50 +542,74 @@ def test_conjugate_and_commutator_keep_the_alphabet_error_of_their_compose_forms
         assert str(got.value) == str(want.value)
 
 
-def test_rows_takes_a_non_canonical_left_factor_up_to_its_last_word():
-    # sigma with its row 2 -> 1 refined: h's row 1 -> 2 stops short of the
-    # run 2.1, 2.2, which ends the domain, and the bound past the run is
-    # the word 3, a letter above n = 2.
-    sig = sigma_dot(A2)
-    left = _expand_at(list(zip(sig.dom, sig.img)), (2,), A2)
-    dom, img = _rows([w for w, _ in left], [v for _, v in left], sig.dom, sig.img)
-    assert (dom, img) == ([(1, 1), (1, 2), (2,)], [(1, 1), (1, 2), (2,)])
-    assert _canonical(zip(dom, img), A2) == identity(A2)
+# --- one-pass compose: copied runs skip the reducer -------------------------
+
+
+def copied_rows(g, h):
+    """The rows w.s -> g(v.s) of every row w -> v of h whose image stops
+    short of g's domain, found by a scan of g's whole table."""
+    rows = []
+    for w, v in zip(h.dom, h.img):
+        if any(v[: len(u)] == u for u in g.dom):
+            continue
+        rows += [(w + u[len(v) :], z) for u, z in zip(g.dom, g.img) if u[: len(v)] == v]
+    return rows
 
 
 @settings(max_examples=40)
 @given(deep_products(), st.integers(0, 20), st.integers(0, 2**32 - 1))
-def test_rows_of_a_refined_left_factor_meet_the_reducer_contract(factors, refinements, seed):
-    """The left factor's table is refined at random rows, so it is not
-    canonical; ``_rows`` must still give sorted rows over a partition set,
-    at most |g| + |h| - 1 of them, that reduce to the product."""
+def test_compose_keeps_every_copied_run_verbatim(factors, refinements, seed):
+    """Every copied row is final, also when h's table is refined at random
+    rows and so is not canonical (unless g is the identity, whose product
+    is h as it is); the product is the naive one, with at most
+    |g| + |h| - 1 rows."""
     g, h = factors
     rng = random.Random(seed)
-    left = list(zip(g.dom, g.img))
-    for _ in range(refinements):
-        left = _expand_at(left, rng.choice(left)[0], g.alphabet)
-    dom, img = _rows([w for w, _ in left], [v for _, v in left], h.dom, h.img)
-    assert dom == sorted(dom) and len(set(dom)) == len(dom)
-    _check_antichain(dom, g.alphabet.degree)
-    _check_antichain(sorted(img), g.alphabet.degree)
-    assert len(dom) <= len(left) + len(h.dom) - 1
-    assert format_element(_canonical(zip(dom, img), g.alphabet)) == format_element(
-        naive_compose(g, h)
-    )
+    right = list(zip(h.dom, h.img))
+    for _ in range(refinements if g.dom != ((),) else 0):
+        right = _expand_at(right, rng.choice(right)[0], h.alphabet)
+    refined = VnElement(h.alphabet, tuple(w for w, _ in right), tuple(v for _, v in right))
+    expected = format_element(naive_compose(g, h))
+    for right_factor in (h, refined):
+        p = compose(g, right_factor)
+        table = dict(zip(p.dom, p.img))
+        for w, z in copied_rows(g, right_factor):
+            assert table.get(w) == z
+        assert format_element(p) == expected
+        assert len(p.dom) <= len(g.dom) + len(right_factor.dom) - 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_rows_reaches_every_run_end(n):
-    """Each image of h that ends in the letter n and stops short of g's
-    domain, so the run bound holds the letter n + 1; with the identity as
-    h, the empty image takes all of g's rows."""
+def test_compose_reaches_every_run_end(n):
+    """Each h has images that end in the letter n and stop short of g's
+    domain, so the run bound holds the letter n + 1, at depth 1 and 2;
+    their runs end at g's last domain word."""
     alphabet = Alphabet(n)
     g = embed(Word((n,) * 3), make_tau(alphabet))
-    for h in (dot(Permutation.from_cycles([(1, n)], n), alphabet), make_tau(alphabet)):
-        dom, img = _rows(g.dom, g.img, h.dom, h.img)
-        assert any(v[-1:] == (n,) for v in h.img)
-        assert _canonical(zip(dom, img), alphabet) == naive_compose(g, h)
-    assert _rows(g.dom, g.img, ((),), ((),)) == (list(g.dom), list(g.img))
+    swap = dot(Permutation.from_cycles([(1, n)], n), alphabet)
+    for h in (swap, make_tau(alphabet), embed(Word((n,)), swap)):
+        short = [v for v in h.img if not any(v[: len(u)] == u for u in g.dom)]
+        assert any(v[-1] == n and g.dom[-1][: len(v)] == v for v in short)
+        assert format_element(compose(g, h)) == format_element(naive_compose(g, h))
+    assert compose(g, identity(alphabet)) is g
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_compose_shares_the_left_factors_words(n):
+    """A row that h fixes takes g's own domain words, and an exact hit
+    takes g's own image tuple."""
+    alphabet = Alphabet(n)
+    g = embed(Word((1, n)), make_t(alphabet))
+    h = make_tau(alphabet)
+    p = compose(g, h)
+    [fixed] = [v for w, v in zip(h.dom, h.img) if w == v]
+    run = [u for u in g.dom if u[: len(fixed)] == fixed]
+    assert len(run) > 1
+    assert all(any(x is u for x in p.dom) for u in run)
+    rows = dict(zip(p.dom, p.img))
+    hits = [(w, g.img[g.dom.index(v)]) for w, v in zip(h.dom, h.img) if v in g.dom]
+    assert any(w in rows for w, _ in hits)
+    assert all(rows[w] is z for w, z in hits if w in rows)
 
 
 # --- the letter-tuple storage against Word-built references --------------------

@@ -39,6 +39,7 @@ from vncalc.expressions import (
     Conjugation,
     DotLift,
     EmbedExpr,
+    Expr,
     MAX_NESTING,
     NameRef,
     Power,
@@ -191,6 +192,22 @@ def test_stack_overflow_inside_the_cap_is_an_expression_error():
     finally:
         sys.setrecursionlimit(limit)
     assert parse_expression(nest_embeds(MAX_NESTING)) is not None
+
+
+def test_a_node_of_no_known_kind_is_an_expression_error():
+    """The evaluator's and the printer's last guards, for a node class that
+    the parser never builds."""
+
+    class Unknown(Expr):
+        def __repr__(self):
+            return "Unknown()"
+
+    with pytest.raises(ExpressionError) as info:
+        eval_expression(Unknown(), default_env(A2))
+    assert str(info.value) == "cannot evaluate node Unknown()"
+    with pytest.raises(ExpressionError) as info:
+        format_expression(Unknown())
+    assert str(info.value) == "cannot print node Unknown()"
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,12 @@ tables are accepted with equal results, and every defect raises the same
 exception class with a byte-identical message.
 """
 
+import contextlib
 import functools
 import os
 import random
 import re
+import sys
 import tempfile
 
 import pytest
@@ -59,6 +61,7 @@ from vncalc.element import (
 )
 from vncalc.errors import (
     AlphabetMismatchError,
+    ExpressionError,
     FileFormatError,
     LevelTooSmallError,
     MalformedWordError,
@@ -67,7 +70,14 @@ from vncalc.errors import (
     PlanInvariantError,
     VnError,
 )
-from vncalc.search import GeneratorSet, grow_ball, load_ball, save_ball
+from vncalc.expressions import parse_expression
+from vncalc.search import (
+    GeneratorSet,
+    grow_ball,
+    load_ball,
+    load_generator_manifest,
+    save_ball,
+)
 from vncalc.verify import enumerate_en_group, run_suites, verify_s_alpha_conjugation
 from vncalc.words import Alphabet, PartitionSet, RationalPoint, Word, _random_leaves
 
@@ -842,3 +852,112 @@ def test_construction_errors_are_typed_in_the_library_and_the_cli(
     if argv is not None:
         assert main([arg.format(d=tmp_path) for arg in argv]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# --- typed errors of the expression parser and the search files ----------------
+# Raises of the expression parser and of the search module's file readers
+# that the tables above leave out, in the layout of the last one; a pattern
+# stands for a text that names how deep the Python stack was.  No command
+# loads a ball file.  Every row runs under a recursion limit 100 frames
+# above the test's own depth, so that the deep expression meets it long
+# before ``MAX_NESTING``.
+
+DEEP = "(" * 150 + "sigma" + ")" * 150
+
+
+def eval_argv(text):
+    return ["eval", "-n", "2", "-e", text]
+
+
+@contextlib.contextmanager
+def shallow_stack():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+PARSER_AND_FILE_ERRORS = {
+    "trailing-input": (
+        {},
+        lambda d: parse_expression("sigma sigma"),
+        ExpressionError,
+        "trailing input 'sigma' (at position 6)",
+        eval_argv("sigma sigma"),
+    ),
+    "negative-power": (
+        {},
+        lambda d: parse_expression("sigma^-tau"),
+        ExpressionError,
+        "expected an integer after '^-' (at position 7)",
+        eval_argv("sigma^-tau"),
+    ),
+    "cycle-letter": (
+        {},
+        lambda d: parse_expression("dot((1 x))"),
+        ExpressionError,
+        "expected a letter or ')' in a cycle (at position 7)",
+        eval_argv("dot((1 x))"),
+    ),
+    "empty-cycle": (
+        {},
+        lambda d: parse_expression("dot(())"),
+        ExpressionError,
+        "empty cycle (at position 6)",
+        eval_argv("dot(())"),
+    ),
+    "python-stack": (
+        {},
+        lambda d: parse_expression(DEEP),
+        ExpressionError,
+        re.compile(r"expression nests too deeply for the Python stack \(reached \d+ levels\)"),
+        eval_argv(DEEP),
+    ),
+    "ball-gen-line": (
+        {"ball.txt": "ball 2 0 1 0\ngen a\n"},
+        lambda d: load_ball(os.path.join(d, "ball.txt")),
+        FileFormatError,
+        "line 2: expected 'gen <name> <file>', got 'gen a'",
+        None,
+    ),
+    "manifest-line": (
+        {"gens.txt": "# generators\ngen sigma\n"},
+        lambda d: load_generator_manifest(os.path.join(d, "gens.txt")),
+        FileFormatError,
+        "line 2: expected 'gen <name> <element-file>', got 'gen sigma'",
+        ["ball", "--gens", "{d}/gens.txt", "--radius", "1", "--out", "{d}/out.txt"],
+    ),
+}
+
+
+def same_text(expected, text):
+    if isinstance(expected, re.Pattern):
+        return expected.fullmatch(text) is not None
+    return text == expected
+
+
+@pytest.mark.parametrize(
+    "files, call, error, message, argv",
+    PARSER_AND_FILE_ERRORS.values(),
+    ids=PARSER_AND_FILE_ERRORS,
+)
+def test_parser_and_file_errors_are_typed_in_the_library_and_the_cli(
+    tmp_path, capsys, files, call, error, message, argv
+):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with shallow_stack(), pytest.raises(error) as info:
+        call(str(tmp_path))
+    assert type(info.value) is error
+    assert same_text(message, str(info.value))
+    if argv is not None:
+        with shallow_stack():
+            assert main([arg.format(d=tmp_path) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.endswith("\n")
+        assert same_text(message, err[len("error: ") : -1])
