@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import (
     AlphabetMismatchError,
-    ConstructionFailedError,
     FileFormatError,
     InvolutionRequiredError,
     ParameterRangeError,
@@ -27,7 +26,6 @@ from .element import (
     _open_text,
     _read_element,
     _table_letters,
-    commutator,
     compose,
     conjugate,
     identity,
@@ -395,29 +393,27 @@ def base_involutions(alphabet: Alphabet) -> list[VnElement]:
     """Involutions obtained by conjugating a seed around the group.
 
     The seed is the product of the level-1 and level-2 cone copies of the
-    basic swap, an involution of trivial parity.  A twisting element is
-    picked as the first candidate whose conjugate of the seed fails to
-    commute with it; the result collects the conjugates of the seed by
-    every product of up to two factors from {sigma, tau}, with and
-    without the twist, deduplicated in first-seen order.
+    basic swap, an involution of trivial parity.  The result collects the
+    conjugates of the seed by every product of up to two factors from
+    {sigma, tau}, with and without the twist tau, deduplicated in
+    first-seen order.
+
+    The twist is an element whose conjugate of the seed does not commute
+    with the seed, and tau is one at every degree n >= 2.  The seed swaps
+    1.1 with 1.2 and 2.1 with 2.2.  Its conjugate by tau swaps tau's
+    images of those cones: 1.1.1 with 1.1.2, and 2 with 3 (with 1.2 at
+    n = 2, where tau fixes 1.2).  On a point 2.1.x, the seed then its
+    conjugate give 3.2.x (1.2.2.x at n = 2), and the conjugate then the
+    seed give 3.1.x (1.1.1.x), so the two do not commute.  Of the
+    candidates that come before tau in the {sigma, tau} walk, the
+    identity and sigma, neither would do: sigma swaps the seed's two
+    factors, so both conjugate the seed to itself.
     """
-    sig = sigma_dot(alphabet)
+    sig, tau = sigma_dot(alphabet), make_tau(alphabet)
     seed = compose(embed(Word((1,)), sig), embed(Word((2,)), sig))
-    conjugators = _generator_words(alphabet, max_length=2)
-    twist_candidates = _generator_words(alphabet, max_length=3)
-    twist = None
-    for c in twist_candidates:
-        if not commutator(seed, conjugate(seed, c)).is_identity():
-            twist = c
-            break
-    if twist is None:
-        raise ConstructionFailedError(
-            f"no twisting element among {len(twist_candidates)} candidates "
-            "makes the seed conjugate noncommuting"
-        )
     out: dict[VnElement, None] = {}
-    for g in conjugators:
-        for h in (g, compose(twist, g)):
+    for g in _generator_words(alphabet, max_length=2):
+        for h in (g, compose(tau, g)):
             out.setdefault(conjugate(seed, h))
     return list(out)
 

@@ -53,10 +53,6 @@ class PlanInvariantError(VnError, ValueError):
     """A spinal sequence violates one of its structural conditions."""
 
 
-class ConstructionFailedError(VnError, RuntimeError):
-    """A searched-for auxiliary element could not be found."""
-
-
 class BudgetExceededError(VnError):
     """A loop built tables holding more letters in total than its work budget."""
 

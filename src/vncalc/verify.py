@@ -85,21 +85,19 @@ def _compare(name: str, params: str, lhs: VnElement, rhs: VnElement) -> Verifica
 
 # The checks of a suite share their operands: eq2's check k builds the
 # spine embedding that check k + 1 conjugates, and the other suites
-# conjugate by the same few powers of t, the same spinal elements and the
-# same spinal t-conjugates for every k, and compare with the same deep
-# spine factors.  Each memo is keyed by the elements it builds from, never
-# by the alphabet alone, so a rebound ``make_t`` gets powers of its own,
-# and looks its constructions up by module name when it builds, so a
-# rebound or traced one sees each call.  The memos keep a few small
-# entries: the degree and k have no cap, and t^k holds about
-# k * k * (degree - 1) letters, so operands for k past _SHARED_POWER are
-# built for each check.
+# conjugate by the same few powers of t for every k.  The powers are
+# keyed by t itself, never by the alphabet alone, so a rebound ``make_t``
+# gets powers of its own, and every construction is looked up by module
+# name when it builds, so a rebound or traced one sees each call.  The
+# memos keep a few small entries: the degree and k have no cap, and t^k
+# holds about k * k * (degree - 1) letters, so powers for k past
+# _SHARED_POWER are built for each check.
 _SHARED_POWER = 16
 
 
 def _carried_embedding():
     """eq2's spine embedding ``embed(spine_cone(k), gamma)``, kept from one
-    check to the next, with a ``cache_clear`` as the other memos have.
+    check to the next, with a ``cache_clear`` as the powers' memo has.
     The one entry ``(gamma, k, embedding)`` is matched by the identity of
     gamma, so no call hashes a table; the entry holds gamma itself, so its
     id cannot pass to another element while kept."""
@@ -133,49 +131,18 @@ def _build_powers(t: VnElement, k: int) -> tuple[VnElement, VnElement]:
 _memo_powers = functools.lru_cache(maxsize=32)(_build_powers)
 
 
-@functools.lru_cache(maxsize=16)
-def _spinal(entries: tuple[VnElement, ...], alphabet: Alphabet) -> VnElement:
-    return make_s_alpha(entries, alphabet)
-
-
-def _conjugate_by(g: VnElement, t_inv: VnElement, t_k: VnElement) -> VnElement:
-    return product(t_inv, g, t_k)
-
-
-_memo_spinal_shift = functools.lru_cache(maxsize=64)(_conjugate_by)
-
-
-def _build_spine_factor(sig: VnElement, k: int) -> VnElement:
-    return commutator(sig, embed(spine_cone(k), sig))
-
-
-_memo_spine_factor = functools.lru_cache(maxsize=32)(_build_spine_factor)
-
-
-def _conjugators(alphabet: Alphabet, k: int) -> tuple[VnElement, VnElement]:
-    """t^-k and t^k for the t that ``make_t`` gives now."""
-    t = make_t(alphabet)
-    return _memo_powers(t, k) if k <= _SHARED_POWER else _build_powers(t, k)
-
-
 def _shift(g: VnElement, k: int) -> VnElement:
-    """g conjugated by t^k: t^-k * g * t^k."""
-    return _conjugate_by(g, *_conjugators(g.alphabet, k))
-
-
-def _spinal_shift(s: VnElement, k: int) -> VnElement:
-    """``_shift(s, k)`` for a spinal element s, which eq3, trick and
-    isolation all conjugate by the same powers, kept for k up to
-    _SHARED_POWER."""
-    conjugate_by = _memo_spinal_shift if k <= _SHARED_POWER else _conjugate_by
-    return conjugate_by(s, *_conjugators(s.alphabet, k))
+    """g conjugated by t^k: t^-k * g * t^k, for the t that ``make_t``
+    gives now."""
+    t = make_t(g.alphabet)
+    t_inv, t_k = _memo_powers(t, k) if k <= _SHARED_POWER else _build_powers(t, k)
+    return product(t_inv, g, t_k)
 
 
 def _spine_factor(sig: VnElement, k: int) -> VnElement:
     """The deep spine factor [sig, sig embedded at 1^k] of trick and
-    isolation, kept for k up to _SHARED_POWER."""
-    build = _memo_spine_factor if k <= _SHARED_POWER else _build_spine_factor
-    return build(sig, k)
+    isolation."""
+    return commutator(sig, embed(spine_cone(k), sig))
 
 
 def verify_translation(
@@ -195,7 +162,7 @@ def verify_translation(
     return _compare("translation", params, lhs, rhs)
 
 
-def _shifted_spinal(entries, alphabet: Alphabet, k: int) -> VnElement:
+def _shifted_product_form(entries, alphabet: Alphabet, k: int) -> VnElement:
     """The product form of a spinal element with every cone pushed k deeper.
 
     At k=0 this is the reference form for make_s_alpha's case table.
@@ -213,8 +180,8 @@ def verify_s_alpha_conjugation(alpha, k: int) -> VerificationReport:
     params = f"n={alphabet.degree} ell={len(entries)} k={k}"
     if k < 0:
         return VerificationReport("shift-conjugation", params, SKIP, reason="k must be >= 0")
-    lhs = _spinal_shift(_spinal(entries, alphabet), k)
-    rhs = _shifted_spinal(entries, alphabet, k)
+    lhs = _shift(make_s_alpha(entries, alphabet), k)
+    rhs = _shifted_product_form(entries, alphabet, k)
     return _compare("shift-conjugation", params, lhs, rhs)
 
 
@@ -238,8 +205,8 @@ def verify_commutator_trick(alpha, k: int) -> VerificationReport:
             SKIP,
             reason=f"entries {bad} in the top k positions are nontrivial",
         )
-    s = _spinal(entries, alphabet)
-    lhs = commutator(s, _spinal_shift(s, k))
+    s = make_s_alpha(entries, alphabet)
+    lhs = commutator(s, _shift(s, k))
     rhs = product(
         embed(spine_cone(ell + 1), _spine_factor(sigma_dot(alphabet), k)),
         *[
@@ -268,8 +235,8 @@ def verify_isolation(plan: AlphaPlan, i: int, j: int) -> VerificationReport:
         return VerificationReport(name, params, SKIP, reason="need i < j")
     k = j - i
     sig = sigma_dot(plan.alphabet)
-    s = _spinal(plan.entries, plan.alphabet)
-    lhs = commutator(s, _spinal_shift(s, k))
+    s = make_s_alpha(plan.entries, plan.alphabet)
+    lhs = commutator(s, _shift(s, k))
     gamma = _spine_factor(sig, k)
     deep = embed(spine_cone(plan.length + 1), gamma)
     cone = embed(spine_cone(j).child(2), commutator(plan.entry(j), plan.entry(i)))

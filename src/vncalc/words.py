@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import product as _cartesian
 from operator import attrgetter
 
 from .errors import MalformedWordError, NotAPartitionError, ParameterRangeError
@@ -73,13 +72,6 @@ class Word:
 
     def last(self) -> int:
         return self.letters[-1]
-
-    def is_prefix_of(self, other: Word) -> bool:
-        """True when self is a (not necessarily proper) prefix of other."""
-        return self.letters == other.letters[: len(self.letters)]
-
-    def is_proper_prefix_of(self, other: Word) -> bool:
-        return len(self.letters) < len(other.letters) and self.is_prefix_of(other)
 
     @staticmethod
     def parse(text: str) -> Word:
@@ -274,13 +266,6 @@ class PartitionSet:
         _check_degree(letters, alphabet.degree)
         _check_antichain(letters, alphabet.degree)
         return cls(alphabet, tuple(ws))
-
-    @classmethod
-    def level(cls, alphabet: Alphabet, depth: int) -> PartitionSet:
-        if depth < 0:
-            raise ParameterRangeError("depth must be >= 0")
-        ws = tuple(Word(p) for p in _cartesian(alphabet.letters, repeat=depth))
-        return cls(alphabet, tuple(sorted(ws)))
 
     def __len__(self) -> int:
         return len(self.words)

@@ -34,6 +34,9 @@ a regular expression of ASCII digits, the only spelling the writer uses.
 are the three breadth-first loops as they were before ``vncalc.search``
 ran all of them through one walk, kept as the reference for that walk:
 the same entries, sizes, truncation point and witness words.
+``naive_base_involutions`` is ``base_involutions`` as it was when it
+searched the {sigma, tau} products for its twist, kept as the reference
+for the fixed twist tau.
 ``naive_enumerate_en_group`` is the finite closure as it was before it
 went through that walk: the generators act as permutation tuples of the
 leaves at one level, closed under composition, kept as the reference for
@@ -204,6 +207,22 @@ def naive_canonicalize(pairs, alphabet: Alphabet) -> VnElement:
     )
 
 
+def is_prefix(v: Word, u: Word) -> bool:
+    """True when v is a (not necessarily proper) prefix of u."""
+    return v.letters == u.letters[: len(v.letters)]
+
+
+def is_proper_prefix(v: Word, u: Word) -> bool:
+    """True when v is a prefix of u and shorter than it."""
+    return len(v.letters) < len(u.letters) and is_prefix(v, u)
+
+
+def level_partition(alphabet: Alphabet, depth: int) -> PartitionSet:
+    """The full partition set at one depth: every word of that length."""
+    words = (Word(p) for p in product(alphabet.letters, repeat=depth))
+    return PartitionSet(alphabet, tuple(sorted(words)))
+
+
 def naive_compose(g: VnElement, h: VnElement) -> VnElement:
     """The element x -> g(h(x)); in the product g*h the right factor acts first."""
     _require_same_alphabet(g, h)
@@ -211,9 +230,9 @@ def naive_compose(g: VnElement, h: VnElement) -> VnElement:
     out: list[Pair] = []
     for w, v in h.pairs():
         for u, z in g_pairs:
-            if u.is_prefix_of(v):
+            if is_prefix(u, v):
                 out.append((w, z + Word(v.letters[len(u) :])))
-            elif v.is_proper_prefix_of(u):
+            elif is_proper_prefix(v, u):
                 s = Word(u.letters[len(v) :])
                 out.append((w + s, z))
     return naive_canonicalize(out, g.alphabet)
@@ -249,9 +268,9 @@ def naive_apply_word(g: VnElement, w: Word) -> Word:
     """Image of the cone named by w; w must reach into g's domain."""
     check_letters(w, g.alphabet)
     for u, z in g.pairs():
-        if u.is_prefix_of(w):
+        if is_prefix(u, w):
             return z + Word(w.letters[len(u) :])
-    needed = max(len(u) for u in g.domain.words if w.is_prefix_of(u))
+    needed = max(len(u) for u in g.domain.words if is_prefix(w, u))
     raise WordTooShortError(
         f"word {w} is shorter than the acting table; extend it to length {needed}"
     )
@@ -676,6 +695,21 @@ def naive_generator_words(alphabet: Alphabet, max_length: int) -> list[VnElement
     return list(seen)
 
 
+def naive_base_involutions(alphabet: Alphabet) -> list[VnElement]:
+    """The seed's conjugates as they were built before the twist was fixed
+    as tau: the twist is the first {sigma, tau} product of up to three
+    factors whose conjugate of the seed does not commute with the seed."""
+    sig = sigma_dot(alphabet)
+    seed = compose(embed(Word((1,)), sig), embed(Word((2,)), sig))
+    candidates = naive_generator_words(alphabet, 3)
+    twist = next(c for c in candidates if not commutator(seed, conjugate(seed, c)).is_identity())
+    out: dict[VnElement, None] = {}
+    for g in naive_generator_words(alphabet, 2):
+        for h in (g, compose(twist, g)):
+            out.setdefault(conjugate(seed, h))
+    return list(out)
+
+
 def naive_enumerate_en_group(gens, level: int | None = None) -> FiniteClosure:
     """Exact closure of volume-preserving generators.
 
@@ -861,7 +895,7 @@ def random_volume_preserving(alphabet: Alphabet, rng: random.Random):
     from vncalc.element import canonicalize
 
     depth = rng.choice([1, 2])
-    leaves = list(PartitionSet.level(alphabet, depth).words)
+    leaves = list(level_partition(alphabet, depth).words)
     shuffled = list(leaves)
     rng.shuffle(shuffled)
     return canonicalize(zip(leaves, shuffled), alphabet)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import W, naive_embed, naive_generator_words
+from conftest import W, is_prefix, naive_base_involutions, naive_embed, naive_generator_words
 from vncalc.constructions import (
     _embed_letters,
     _generator_words,
@@ -47,7 +47,7 @@ from vncalc.element import (
 )
 from vncalc.element import ConeKind
 from vncalc.errors import InvolutionRequiredError, ParameterRangeError, PlanInvariantError
-from vncalc.verify import _shifted_spinal
+from vncalc.verify import _shifted_product_form
 from vncalc.words import Alphabet, PartitionSet, Word, point_normalize
 
 A2 = Alphabet(2)
@@ -248,7 +248,7 @@ def test_embed_support_stays_in_cone():
         g = random_element(A2, rng)
         w = W("1.2")
         for cone in support(embed(w, g)):
-            if not w.is_prefix_of(cone.word):
+            if not is_prefix(w, cone.word):
                 assert cone.kind is ConeKind.FIXED
 
 
@@ -298,7 +298,7 @@ def test_spinal_constructors_agree_on_random_sequences():
             ell = rng.randint(0, 6)
             alpha = [rng.choice(pool) for _ in range(ell)]
             s = make_s_alpha(alpha, alphabet)
-            assert s == _shifted_spinal(alpha, alphabet, 0)
+            assert s == _shifted_product_form(alpha, alphabet, 0)
             assert apply_word(s, Word((1,) * (ell + 1) + (1,))) == Word(
                 (1,) * (ell + 1) + (2,)
             )
@@ -324,7 +324,7 @@ def spinal_sequences(draw):
 def test_spinal_case_table_matches_product_form(case):
     # Entries need not be involutions: the two forms agree for any contents.
     alphabet, alpha = case
-    assert make_s_alpha(alpha, alphabet) == _shifted_spinal(alpha, alphabet, 0)
+    assert make_s_alpha(alpha, alphabet) == _shifted_product_form(alpha, alphabet, 0)
 
 
 # --- Sidon sets ----------------------------------------------------------------------
@@ -467,6 +467,13 @@ def test_generator_words_match_the_naive_loop(n):
         assert _generator_words(Alphabet(n), max_length) == naive_generator_words(
             Alphabet(n), max_length
         )
+
+
+def test_base_involutions_match_the_twist_search():
+    """tau is the twist that the candidate search took, at every degree
+    tried, so the involutions and their order are unchanged."""
+    for n in range(2, 13):
+        assert base_involutions(Alphabet(n)) == naive_base_involutions(Alphabet(n))
 
 
 def test_base_involutions_with_identity_conjugator_only():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     W,
+    level_partition,
     naive_apply_word,
     naive_canonicalize,
     naive_compose,
@@ -77,7 +78,7 @@ def elt(alphabet, table):
 def action_table(g, depth):
     """Evaluation oracle: the element as a map on all words of a depth."""
     return {
-        w: apply_word(g, w) for w in PartitionSet.level(g.alphabet, depth).words
+        w: apply_word(g, w) for w in level_partition(g.alphabet, depth).words
     }
 
 
@@ -208,7 +209,7 @@ def test_canonicalize_of_level_expansion_recovers_element():
     for _ in range(50):
         g = random_element(A2, rng)
         depth = g.domain.max_depth() + 1
-        dom = PartitionSet.level(A2, depth)
+        dom = level_partition(A2, depth)
         pairs = [(w, apply_word(g, w)) for w in dom.words]
         assert canonicalize(pairs, A2) == g
 
@@ -254,7 +255,7 @@ def test_compose_matches_evaluation_oracle():
             # Deep enough for the composite table and for feeding g with
             # whatever h leaves of the word.
             depth = h.domain.max_depth() + g.domain.max_depth()
-            for w in PartitionSet.level(alphabet, depth).words:
+            for w in level_partition(alphabet, depth).words:
                 assert apply_word(gh, w) == apply_word(g, apply_word(h, w))
 
 
@@ -388,7 +389,7 @@ def sorted_tables(draw):
     kind = draw(st.sampled_from(("refined", "identity", "level")))
     if kind == "level":
         depth = next(d for d in range(1, 9) if (n**d - 1) // (n - 1) >= 40)
-        leaves = PartitionSet.level(alphabet, depth).words
+        leaves = level_partition(alphabet, depth).words
         pairs = list(zip(leaves, leaves))
     elif kind == "identity":
         leaves = list(map(Word, _random_leaves(alphabet, rng, draw(st.integers(40, 100)), None)))

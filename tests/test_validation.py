@@ -640,7 +640,6 @@ def test_public_word_construction_validates(build, message):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: PartitionSet.level(Alphabet(2), -1), ParameterRangeError, "depth must be >= 0"),
         (
             lambda: random_element(Alphabet(2), random.Random(0), 2, max_depth=1),
             ParameterRangeError,
@@ -714,7 +713,6 @@ def test_public_word_construction_validates(build, message):
         ),
     ],
     ids=[
-        "level-depth",
         "random-partition",
         "empty-sequence",
         "no-generators",

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import W, naive_embed, naive_enumerate_en_group, naive_verify_grid, tuple_closure
+from conftest import (
+    W,
+    is_prefix,
+    level_partition,
+    naive_embed,
+    naive_enumerate_en_group,
+    naive_verify_grid,
+    tuple_closure,
+)
 from vncalc.constructions import (
     default_base,
     dot,
@@ -30,6 +38,7 @@ from vncalc.element import (
     invert,
     is_volume_preserving,
     power,
+    product,
     random_element,
 )
 from vncalc import constructions as constructions_module
@@ -48,7 +57,7 @@ from vncalc.verify import (
     verify_s_alpha_conjugation,
     verify_translation,
 )
-from vncalc.words import Alphabet, PartitionSet, Word
+from vncalc.words import Alphabet, Word
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -138,6 +147,42 @@ def test_commutator_trick_precondition_violated():
     assert "2" in rep.reason
 
 
+def trick_sides(entries, k):
+    """Both sides of the commutator trick, built from the public
+    constructions without its precondition."""
+    alphabet = entries[0].alphabet
+    ell = len(entries)
+    sig = sigma_dot(alphabet)
+    s = make_s_alpha(entries, alphabet)
+    lhs = commutator(s, conjugate(s, power(make_t(alphabet), k)))
+    deep = embed(spine_cone(ell + 1), commutator(sig, embed(spine_cone(k), sig)))
+    cones = [
+        embed(spine_cone(i).child(2), commutator(entries[i - 1], entries[i - k - 1]))
+        for i in range(k + 1, ell + 1)
+    ]
+    return lhs, product(deep, *cones)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_commutator_trick_needs_trivial_top_entries(n):
+    """A nontrivial entry in the top k positions breaks the identity that
+    the trick checks, which is why the check SKIPs there; the same entry
+    below them keeps it."""
+    alphabet = Alphabet(n)
+    ell = 5
+    for g in default_base(alphabet, 2):
+        for k in range(1, ell + 1):
+            for top in range(1, ell + 1):
+                entries = [identity(alphabet)] * ell
+                entries[top - 1] = g
+                lhs, rhs = trick_sides(entries, k)
+                rep = verify_commutator_trick(entries, k)
+                if top > ell - k:
+                    assert lhs != rhs and rep.verdict == "SKIP"
+                else:
+                    assert lhs == rhs and rep.passed
+
+
 def test_commutator_trick_full_grid_never_fails():
     for n in (2, 3):
         alphabet = Alphabet(n)
@@ -181,7 +226,7 @@ def test_isolation_gamma_factor_properties():
     deep = embed(Word((1,) * (plan.length + 1)), gamma)
     for cone in support(deep):
         if cone.kind.value != "Fixed":
-            assert Word((1,) * (plan.length + 1)).is_prefix_of(cone.word)
+            assert is_prefix(Word((1,) * (plan.length + 1)), cone.word)
 
 
 def test_isolation_rejects_bad_pairs():
@@ -305,7 +350,7 @@ def test_en_closure_dihedral_pair_against_tuple_oracle():
     # the swap acts as (0 2)(1 3), the nested swap as (0 1).
     oracle = tuple_closure({(2, 3, 0, 1), (1, 0, 2, 3)})
     assert len(oracle) == 8
-    leaves = PartitionSet.level(A2, 2).words
+    leaves = level_partition(A2, 2).words
     element_perms = {
         tuple(leaves.index(apply_word(g, w)) for w in leaves) for g in result.elements
     }
@@ -365,7 +410,7 @@ def en_cases(draw):
     (the identity among them possible), and a closure level: None or one deeper."""
     n, depth = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (5, 1)]))
     alphabet = Alphabet(n)
-    leaves = PartitionSet.level(alphabet, depth).words
+    leaves = level_partition(alphabet, depth).words
     images = draw(st.lists(st.permutations(leaves), min_size=1, max_size=3))
     gens = [canonicalize(zip(leaves, p), alphabet) for p in images]
     return gens, draw(st.sampled_from([None, depth + 1]))
@@ -523,7 +568,7 @@ def test_a_commutator_that_returns_its_first_argument_fails_abelianization(monke
 
 # --- shared operands ---------------------------------------------------------------------------
 # The suites build each operand that their checks share once: a spine
-# embedding, a power of t with its inverse, a spinal element.
+# embedding, and a power of t with its inverse.
 
 
 SHARED = ("eq2", "eq3", "trick", "isolation")
@@ -559,67 +604,42 @@ def clear_verify_memos():
 def test_the_grid_builds_each_shared_operand_once(monkeypatch):
     """On the default grid (n = 2, 3, 5, kmax 5, count 200) eq2 embeds
     each of its 606 elements at the six spine depths once, 3,636 embeds in
-    place of two per check (6,060); eq3, trick and isolation build each of
-    their 18 powers t^k once in place of once per check (96), each of the
-    9 planned spinal elements once in place of once per check (96), and
-    each of the 54 spinal t-conjugates (9 elements, k = 0..5) once in
-    place of once per check (96).  Trick and isolation build the deep
-    spine factor [sigma, sigma embedded at 1^k] once for each of their 15
-    (degree, k) pairs, in place of once per check (42): each build is the
-    one ``embed`` of sigma that those two suites make."""
+    place of two per check (6,060), and eq3, trick and isolation build
+    each of their 18 powers t^k once in place of once per check (96)."""
     calls = Counter()
-    made = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            result = fn(*args, **kwargs)
             calls[name] += 1
-            made.append((name, args, result))
-            return result
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    def count(*names):
-        for name in names:
-            fn = getattr(verify_module, name)
-            monkeypatch.setattr(verify_module, name, counted(name, fn))
-
-    count("embed", "power", "make_s_alpha")
+    for name in ("embed", "power"):
+        monkeypatch.setattr(verify_module, name, counted(name, getattr(verify_module, name)))
     clear_verify_memos()
     assert len(run_suites("eq2", (2, 3, 5))) == 3030
     assert calls["embed"] == 3636
     clear_verify_memos()
     calls.clear()
-    run_suites("eq3", (2, 3, 5))
-    made.clear()
-    for name in ("trick", "isolation"):
-        run_suites(name, (2, 3, 5))
-    assert (calls["power"], calls["make_s_alpha"]) == (18, 9)
-    on_sigma = [a for name, a, _ in made if name == "embed" and a[1] == sigma_dot(a[1].alphabet)]
-    assert len(on_sigma) == 15
-    count("product")
-    clear_verify_memos()
-    made.clear()
     for name in ("eq3", "trick", "isolation"):
         run_suites(name, (2, 3, 5))
-    spinals = {result for name, _, result in made if name == "make_s_alpha"}
-    conjugates = [a for name, a, _ in made if name == "product" and len(a) == 3 and a[1] in spinals]
-    assert len(spinals) == 9 and len(conjugates) == 54
+    assert calls["power"] == 18
 
 
 def test_the_memos_keep_no_operand_past_their_bounds():
-    """Spinal t-conjugates and deep spine factors are kept only for
-    k <= _SHARED_POWER, and embed's sibling words only for cones with at
-    most _SIBLING_ROWS of them; the checks past the bounds still pass."""
-    memos = (verify_module._memo_spinal_shift, verify_module._memo_spine_factor)
+    """Powers of t are kept only for k <= _SHARED_POWER, and embed's
+    sibling words only for cones with at most _SIBLING_ROWS of them; the
+    checks past the bounds still pass."""
+    powers = verify_module._memo_powers
     entries = [identity(A2)] * 3
     clear_verify_memos()
     for k in (verify_module._SHARED_POWER + 1, verify_module._SHARED_POWER + 3):
         assert verify_commutator_trick(entries, k).passed
         assert verify_s_alpha_conjugation(entries, k).passed
-    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+    assert powers.cache_info().currsize == 0
     assert verify_commutator_trick(entries, verify_module._SHARED_POWER).passed
-    assert [memo.cache_info().currsize for memo in memos] == [1, 1]
+    assert powers.cache_info().currsize == 1
 
     siblings = constructions_module._memo_siblings
     siblings.cache_clear()

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     W,
+    is_prefix,
+    is_proper_prefix,
     naive_format_element,
     naive_parse_word,
     naive_random_leaves,
@@ -111,10 +113,11 @@ def test_word_comparisons_follow_the_letter_tuples():
 
 
 def test_word_prefix_relations():
-    assert W("1").is_prefix_of(W("1.2"))
-    assert W("1").is_proper_prefix_of(W("1.2"))
-    assert not W("1.2").is_prefix_of(W("1"))
-    assert W("eps").is_prefix_of(W("2.1"))
+    assert is_prefix(W("1"), W("1.2"))
+    assert is_proper_prefix(W("1"), W("1.2"))
+    assert not is_proper_prefix(W("1.2"), W("1.2"))
+    assert not is_prefix(W("1.2"), W("1"))
+    assert is_prefix(W("eps"), W("2.1"))
 
 
 def test_partition_set_matches_tree_oracle():
