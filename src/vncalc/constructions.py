@@ -10,7 +10,6 @@ difference property.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import (
     AlphabetMismatchError,
@@ -32,19 +31,19 @@ from .element import (
     order_bounded,
 )
 from .search import GeneratorSet, _walk
-from .words import Alphabet, Word, _parse_int, check_letters
+from .words import Alphabet, Word, _parse_int, _Record, check_letters
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """A bijection of {1..n}; images[i-1] is the image of i."""
 
-    images: tuple[int, ...]
+    __slots__ = __match_args__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ParameterRangeError(f"not a permutation of 1..{n}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ParameterRangeError(f"not a permutation of 1..{n}: {images}")
+        self._set_fields(images)
 
     @property
     def degree(self) -> int:
@@ -243,20 +242,18 @@ def is_sidon(members) -> bool:
     return len(diffs) == len(set(diffs))
 
 
-@dataclass(frozen=True)
-class SidonSet:
+class SidonSet(_Record):
     """A finite set of positive integers with all pairwise differences distinct."""
 
-    members: frozenset[int]
+    __slots__ = __match_args__ = ("members",)
 
-    def __post_init__(self):
-        for x in self.members:
+    def __init__(self, members: frozenset[int]):
+        for x in members:
             if not isinstance(x, int) or x < 1:
                 raise ParameterRangeError(f"members must be positive integers, got {x!r}")
-        if not is_sidon(self.members):
-            raise ParameterRangeError(
-                f"pairwise differences collide in {sorted(self.members)}"
-            )
+        if not is_sidon(members):
+            raise ParameterRangeError(f"pairwise differences collide in {sorted(members)}")
+        self._set_fields(members)
 
     @property
     def sorted_members(self) -> tuple[int, ...]:
@@ -307,8 +304,7 @@ def sidon_generate(count: int, strategy: str = "greedy") -> SidonSet:
     return SidonSet(frozenset(members))
 
 
-@dataclass(frozen=True)
-class AlphaPlan:
+class AlphaPlan(_Record):
     """A spinal sequence whose nontrivial positions form a Sidon set.
 
     Checked on construction: every entry has order at most 2, the support
@@ -318,10 +314,12 @@ class AlphaPlan:
     not (and cannot be) checked here.
     """
 
-    alphabet: Alphabet
-    entries: tuple[VnElement, ...]
-    support: SidonSet
-    padding: int
+    __slots__ = __match_args__ = ("alphabet", "entries", "support", "padding")
+
+    def __init__(
+        self, alphabet: Alphabet, entries: tuple[VnElement, ...], support: SidonSet, padding: int
+    ):
+        self._set_fields(alphabet, entries, support, padding)
 
     @classmethod
     def from_entries(cls, entries, alphabet: Alphabet | None = None) -> AlphaPlan:

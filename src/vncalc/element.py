@@ -15,7 +15,6 @@ import functools
 import os
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
 
@@ -36,6 +35,7 @@ from .words import (
     PartitionSet,
     RationalPoint,
     Word,
+    _Record,
     _check_antichain,
     _check_degree,
     _parse_int,
@@ -51,8 +51,7 @@ Letters = tuple[int, ...]
 Row = tuple[Letters, Letters]
 
 
-@dataclass(frozen=True, slots=True)
-class VnElement:
+class VnElement(_Record):
     """A canonical prefix-replacement bijection.
 
     Stored as two aligned tuples of letter tuples: ``dom`` holds the
@@ -66,9 +65,20 @@ class VnElement:
     ``constructions``).
     """
 
-    alphabet: Alphabet
-    dom: tuple[Letters, ...]
-    img: tuple[Letters, ...]
+    __slots__ = __match_args__ = ("alphabet", "dom", "img")
+
+    def __init__(self, alphabet: Alphabet, dom: tuple[Letters, ...], img: tuple[Letters, ...]):
+        _set_alphabet(self, alphabet)
+        _set_dom(self, dom)
+        _set_img(self, img)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alphabet, self.dom, self.img) == (other.alphabet, other.dom, other.img)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.dom, self.img))
 
     @property
     def domain(self) -> PartitionSet:
@@ -87,6 +97,13 @@ class VnElement:
     def __str__(self) -> str:
         body = ", ".join(f"{_text(w)}->{_text(v)}" for w, v in zip(self.dom, self.img))
         return f"vn {self.alphabet.degree}: {body}"
+
+
+# The slot setters, bound once as for ``Word``: ``compose`` builds one element
+# per call.
+_set_alphabet = VnElement.alphabet.__set__
+_set_dom = VnElement.dom.__set__
+_set_img = VnElement.img.__set__
 
 
 def identity(alphabet: Alphabet) -> VnElement:
@@ -430,11 +447,11 @@ class ConeKind(Enum):
     BOUNDARY = "Boundary"
 
 
-@dataclass(frozen=True)
-class SupportCone:
-    word: Word
-    kind: ConeKind
-    fixed_point: RationalPoint | None = None
+class SupportCone(_Record):
+    __slots__ = __match_args__ = ("word", "kind", "fixed_point")
+
+    def __init__(self, word: Word, kind: ConeKind, fixed_point: RationalPoint | None = None):
+        self._set_fields(word, kind, fixed_point)
 
 
 def support(g: VnElement) -> tuple[SupportCone, ...]:
@@ -509,14 +526,15 @@ def _expand_at(rows: list[Row], w: Letters, alphabet: Alphabet) -> list[Row]:
     return out
 
 
-@dataclass(frozen=True)
-class RefinementWitness:
+class RefinementWitness(_Record):
     """A refined table whose parity disagrees with the canonical one."""
 
-    domain: tuple[Word, ...]
-    images: tuple[Word, ...]
-    parity: int
-    base_parity: int
+    __slots__ = __match_args__ = ("domain", "images", "parity", "base_parity")
+
+    def __init__(
+        self, domain: tuple[Word, ...], images: tuple[Word, ...], parity: int, base_parity: int
+    ):
+        self._set_fields(domain, images, parity, base_parity)
 
 
 def sign_refinement_probe(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 
 from .constructions import (
     Permutation,
@@ -46,55 +45,70 @@ from .element import (
     power,
 )
 from .errors import ExpressionError
-from .words import Alphabet, Word, check_letters
+from .words import Alphabet, Word, _Record, check_letters
 
 
-class Expr:
-    """Base class for expression nodes."""
+class Expr(_Record):
+    """Base class for expression nodes: frozen records, equal when their
+    class and fields are."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NameRef(Expr):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self._set_fields(name)
 
 
-@dataclass(frozen=True)
 class Product(Expr):
-    factors: tuple[Expr, ...]
+    __slots__ = __match_args__ = ("factors",)
+
+    def __init__(self, factors: tuple[Expr, ...]):
+        self._set_fields(factors)
 
 
-@dataclass(frozen=True)
 class Power(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = __match_args__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        self._set_fields(base, exponent)
 
 
-@dataclass(frozen=True)
 class Conjugation(Expr):
-    base: Expr
-    by: Expr
+    __slots__ = __match_args__ = ("base", "by")
+
+    def __init__(self, base: Expr, by: Expr):
+        self._set_fields(base, by)
 
 
-@dataclass(frozen=True)
 class CommutatorExpr(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self._set_fields(left, right)
 
 
-@dataclass(frozen=True)
 class DotLift(Expr):
-    cycles: tuple[tuple[int, ...], ...]
+    __slots__ = __match_args__ = ("cycles",)
+
+    def __init__(self, cycles: tuple[tuple[int, ...], ...]):
+        self._set_fields(cycles)
 
 
-@dataclass(frozen=True)
 class EmbedExpr(Expr):
-    cone: Word
-    inner: Expr
+    __slots__ = __match_args__ = ("cone", "inner")
+
+    def __init__(self, cone: Word, inner: Expr):
+        self._set_fields(cone, inner)
 
 
-@dataclass(frozen=True)
 class SpinalFromFile(Expr):
-    path: str
+    __slots__ = __match_args__ = ("path",)
+
+    def __init__(self, path: str):
+        self._set_fields(path)
 
 
 # The symbol class includes path characters so bare file arguments like
@@ -298,8 +312,7 @@ def parse_expression(text: str) -> Expr:
         ) from None
 
 
-@dataclass(frozen=True)
-class EvalEnv:
+class EvalEnv(_Record):
     """Name bindings plus the ambient alphabet.
 
     ``id``, ``sigma``, ``tau`` and ``t`` are bound in every env, below its
@@ -307,8 +320,12 @@ class EvalEnv:
     an expression names it, and then once per alphabet.
     """
 
-    alphabet: Alphabet
-    bindings: tuple[tuple[str, VnElement], ...]
+    # The ``__dict__`` holds the cached name table.
+    __slots__ = ("alphabet", "bindings", "__dict__")
+    __match_args__ = ("alphabet", "bindings")
+
+    def __init__(self, alphabet: Alphabet, bindings: tuple[tuple[str, VnElement], ...]):
+        self._set_fields(alphabet, bindings)
 
     def lookup(self, name: str) -> VnElement:
         if name in self._by_name:

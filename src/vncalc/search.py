@@ -29,17 +29,20 @@ from .element import (
     parse_element,
 )
 from .errors import AlphabetMismatchError, FileFormatError, ParameterRangeError, VnError
-from .words import Alphabet
+from .words import Alphabet, _Record
 
 GenWord = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(_Record):
     """Named generators over one alphabet, ordered by name."""
 
-    alphabet: Alphabet
-    generators: tuple[tuple[str, VnElement], ...]
+    # The ``__dict__`` holds the cached token table.
+    __slots__ = ("alphabet", "generators", "__dict__")
+    __match_args__ = ("alphabet", "generators")
+
+    def __init__(self, alphabet: Alphabet, generators: tuple[tuple[str, VnElement], ...]):
+        self._set_fields(alphabet, generators)
 
     @classmethod
     def from_dict(cls, named: dict[str, VnElement]) -> GeneratorSet:
@@ -237,14 +240,30 @@ def save_ball(ball: Ball, path: str) -> None:
 # one element block at a time, never the whole file.
 _CHUNK_CHARS = 1 << 16
 
+# The characters at which ``str.splitlines`` ends a line.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 def _line_chunks(fh):
     """The lines of a text file, one list per chunk read, split exactly
-    where ``str.splitlines`` splits the whole text: each chunk is read on to
-    the end of its line, which universal newlines end only at ``\n``, where
-    ``splitlines`` ends one too; ``\r\n`` arrives as ``\n``."""
+    where ``str.splitlines`` splits the whole text.  Each chunk is read on
+    to the end of its line, but at most ``_CHUNK_CHARS`` further: universal
+    newlines end a line only at ``\n`` (``\r\n`` arrives as ``\n``), and a
+    file may end its lines only with other breaks.  A line that a chunk
+    leaves open is carried, in pieces, until a break ends it."""
+    head: list[str] = []  # the pieces of a line that no break has ended yet
     while chunk := fh.read(_CHUNK_CHARS):
-        yield (chunk + fh.readline()).splitlines()
+        chunk += fh.readline(_CHUNK_CHARS)
+        lines = chunk.splitlines()
+        tail = [] if chunk[-1] in _LINE_BREAKS else [lines.pop()]
+        if head and lines:
+            lines[0] = "".join([*head, lines[0]])
+            head = []
+        head += tail
+        yield lines
+        del lines  # so that the reader frees them before it reads on
+    if head:
+        yield ["".join(head)]
 
 
 def load_ball(path: str) -> Ball:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 from .constructions import (
@@ -44,21 +43,26 @@ from .errors import (
     ParameterRangeError,
 )
 from .search import GeneratorSet, _walk
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _Record
 
 PASS = "PASS"
 FAIL = "FAIL"
 SKIP = "SKIP"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    name: str
-    params: str
-    verdict: str
-    lhs: VnElement | None = None
-    rhs: VnElement | None = None
-    reason: str | None = None
+class VerificationReport(_Record):
+    __slots__ = __match_args__ = ("name", "params", "verdict", "lhs", "rhs", "reason")
+
+    def __init__(
+        self,
+        name: str,
+        params: str,
+        verdict: str,
+        lhs: VnElement | None = None,
+        rhs: VnElement | None = None,
+        reason: str | None = None,
+    ):
+        self._set_fields(name, params, verdict, lhs, rhs, reason)
 
     @property
     def passed(self) -> bool:
@@ -270,11 +274,11 @@ def in_maximal_subgroup(g: VnElement) -> bool:
     return sorted(first.values()) == list(g.alphabet.letters)
 
 
-@dataclass(frozen=True)
-class FiniteClosure:
-    order: int
-    level: int
-    elements: frozenset[VnElement]
+class FiniteClosure(_Record):
+    __slots__ = __match_args__ = ("order", "level", "elements")
+
+    def __init__(self, order: int, level: int, elements: frozenset[VnElement]):
+        self._set_fields(order, level, elements)
 
 
 def enumerate_en_group(gens, level: int | None = None) -> FiniteClosure:

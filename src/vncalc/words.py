@@ -10,31 +10,117 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import MalformedWordError, NotAPartitionError, ParameterRangeError
 
 
-@dataclass(frozen=True, order=True)
-class Alphabet:
+class _Record:
+    """Base of the package's frozen record classes.
+
+    ``__eq__``, ``__hash__`` and ``__repr__`` work on the field tuple that
+    ``__match_args__`` names, as ``dataclass(frozen=True)`` generates them,
+    but written once here instead of generated for each class at import.
+    Each subclass names its fields in ``__slots__`` and ``__match_args__``
+    and sets them in ``__init__``; assigning or deleting any attribute
+    afterwards raises ``dataclasses.FrozenInstanceError``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # Each field's slot setter, which the frozen guard leaves open.  It
+        # sets a field faster than ``object.__setattr__``, which looks the
+        # slot up first.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+
+    def _set_fields(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    # ``copy`` and ``pickle`` rebuild a record through its constructor.
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    # The import runs only on a failed assignment, so importing the package
+    # loads neither ``dataclasses`` nor the ``inspect`` that it imports.
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _OrderedRecord(_Record):
+    """A record that also orders by its field tuple, as ``order=True`` does."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() < other._values()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() <= other._values()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() > other._values()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() >= other._values()
+        return NotImplemented
+
+
+class Alphabet(_OrderedRecord):
     """The letter set {1, .., degree} labelling the children of a tree node."""
 
-    degree: int
+    __slots__ = __match_args__ = ("degree",)
 
-    def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 2:
-            raise ParameterRangeError(
-                f"alphabet degree must be an integer >= 2, got {self.degree!r}"
-            )
+    def __init__(self, degree: int):
+        if not isinstance(degree, int) or degree < 2:
+            raise ParameterRangeError(f"alphabet degree must be an integer >= 2, got {degree!r}")
+        self._set_fields(degree)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.degree == other.degree
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.degree,))
 
     @property
     def letters(self) -> range:
         return range(1, self.degree + 1)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Word:
+class Word(_OrderedRecord):
     """A finite (possibly empty) word; letters are 1-based integers.
 
     Text syntax is dot-separated: ``1.1.2``; the empty word prints as
@@ -47,13 +133,25 @@ class Word:
     and the parity probe work on letter tuples.
     """
 
-    letters: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("letters",)
+
+    def __init__(self, letters: tuple[int, ...] = ()):
+        _set_letters(self, letters)
+        self.__post_init__()
 
     def __post_init__(self):
         # Exactly int: True would equal 1 in a tuple and print as "True".
         for x in self.letters:
             if type(x) is not int or x < 1:
                 raise MalformedWordError(f"letters must be integers >= 1, got {x!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -77,6 +175,11 @@ class Word:
     def parse(text: str) -> Word:
         """Parse ``1.1.2`` or ``eps``."""
         return Word(_parse_letters(text))
+
+
+# Word's slot setter, bound once: ``__init__`` calls it directly, without
+# ``_set_fields``'s loop, since the package builds many words.
+_set_letters = Word.letters.__set__
 
 
 def _text(letters: tuple[int, ...]) -> str:
@@ -176,8 +279,7 @@ def _primitive_root(per: tuple[int, ...]) -> tuple[int, ...]:
             return per[:d]
 
 
-@dataclass(frozen=True, order=True)
-class RationalPoint:
+class RationalPoint(_OrderedRecord):
     """An eventually periodic infinite word, stored in normal form.
 
     Normal form means the period is primitive and the preperiod is as
@@ -186,18 +288,16 @@ class RationalPoint:
     when their normal forms coincide, so equality is structural.
     """
 
-    preperiod: Word
-    period: Word
+    __slots__ = __match_args__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        if len(self.period) == 0:
+    def __init__(self, preperiod: Word, period: Word):
+        if len(period) == 0:
             raise MalformedWordError("period must be nonempty")
-        if _primitive_root(self.period.letters) != self.period.letters:
-            raise MalformedWordError(f"period {self.period} is not primitive")
-        if self.preperiod.letters and self.preperiod.last() == self.period.last():
-            raise MalformedWordError(
-                f"preperiod {self.preperiod} can be absorbed into the period"
-            )
+        if _primitive_root(period.letters) != period.letters:
+            raise MalformedWordError(f"period {period} is not primitive")
+        if preperiod.letters and preperiod.last() == period.last():
+            raise MalformedWordError(f"preperiod {preperiod} can be absorbed into the period")
+        self._set_fields(preperiod, period)
 
     def prefix(self, k: int) -> Word:
         """The first k letters of the infinite word."""
@@ -242,17 +342,18 @@ def point_normalize(pre: Word, per: Word) -> RationalPoint:
     return RationalPoint(Word(tuple(p)), Word(tuple(q)))
 
 
-@dataclass(frozen=True)
-class PartitionSet:
+class PartitionSet(_Record):
     """A complete prefix-free antichain; cones tile the Cantor set.
 
     Words are stored sorted lexicographically.  Construct through
-    ``from_words`` (validating) or ``level`` (the full antichain at a
-    fixed depth).
+    ``from_words``, which validates; ``VnElement.domain`` builds one
+    directly from a canonical table.
     """
 
-    alphabet: Alphabet
-    words: tuple[Word, ...]
+    __slots__ = __match_args__ = ("alphabet", "words")
+
+    def __init__(self, alphabet: Alphabet, words: tuple[Word, ...]):
+        self._set_fields(alphabet, words)
 
     @classmethod
     def from_words(cls, words, alphabet: Alphabet) -> PartitionSet:

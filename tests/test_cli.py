@@ -170,6 +170,8 @@ def test_plan_written_into_a_directory_lists_paths_from_there(tmp_path, capsys, 
     code, out, err = run(capsys, "make", "s", "-n", "2", "--alpha", plan_path)
     assert (code, err) == (0, "")
     assert parse_element(out) == make_s_alpha(plan_alpha(base))
+    # The same plan, named by a bare path in an expression.
+    assert run(capsys, "eval", "-n", "2", "-e", "s(sub/p.alpha)") == (0, out, "")
 
 
 def test_make_s_with_a_plan_of_another_degree(tmp_path, capsys):

@@ -90,9 +90,12 @@ def test_parse_conjugation_by_name():
 
 def test_parse_constructors():
     assert parse_expression("dot((1 2)(3 4))") == DotLift(((1, 2), (3, 4)))
+    assert parse_expression("dot((1,2)(3, 4))") == DotLift(((1, 2), (3, 4)))
     assert parse_expression("embed(1.2, sigma)") == EmbedExpr(W("1.2"), NameRef("sigma"))
     assert parse_expression("embed(eps, sigma)") == EmbedExpr(W("eps"), NameRef("sigma"))
     assert parse_expression('s("plans/p.alpha")') == SpinalFromFile("plans/p.alpha")
+    # A bare path runs, token by token, up to the closing parenthesis.
+    assert parse_expression("s(plans/p.alpha)") == SpinalFromFile("plans/p.alpha")
 
 
 def test_parse_whitespace_insensitive():

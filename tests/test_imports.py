@@ -17,15 +17,21 @@ SUBMODULES = sorted(
 )
 
 
-def loaded_after(statement: str) -> set[str]:
-    """The names in ``sys.modules`` of a fresh interpreter that has run statement."""
-    probe = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))\n"
+def fresh_value(statement: str, expression: str):
+    """The value, through JSON, of expression in a fresh interpreter that
+    has run statement."""
+    probe = f"import json, sys\n{statement}\nprint(json.dumps({expression}))\n"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+def loaded_after(statement: str) -> set[str]:
+    """The names in ``sys.modules`` of a fresh interpreter that has run statement."""
+    return set(fresh_value(statement, "sorted(sys.modules)"))
 
 
 def package_modules(names: set[str]) -> set[str]:
@@ -45,3 +51,27 @@ def test_the_element_kernel_loads_only_what_it_imports():
 
 def test_the_cli_still_loads_every_module_it_uses():
     assert package_modules(loaded_after("import vncalc.cli")) == {"vncalc", *SUBMODULES}
+
+
+def test_the_element_kernel_loads_no_dataclass_machinery():
+    """The record classes are written out, so no class code is generated at
+    import and ``dataclasses``, with the ``inspect`` it imports, stays out."""
+    assert not {"dataclasses", "inspect"} & loaded_after("import vncalc.element")
+
+
+def test_the_cli_decorates_only_ball_as_a_dataclass():
+    """``search.Ball`` stays a dataclass, for callers of ``dataclasses.replace``;
+    every other record class is written out."""
+    counting = (
+        "import dataclasses\n"
+        "decorated = []\n"
+        "plain = dataclasses.dataclass\n"
+        "def counting(cls=None, **flags):\n"
+        "    def wrap(cls):\n"
+        "        decorated.append(f'{cls.__module__}.{cls.__qualname__}')\n"
+        "        return plain(cls, **flags)\n"
+        "    return wrap if cls is None else wrap(cls)\n"
+        "dataclasses.dataclass = counting\n"
+        "import vncalc.cli"
+    )
+    assert fresh_value(counting, "decorated") == ["vncalc.search.Ball"]

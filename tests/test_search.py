@@ -693,6 +693,36 @@ def test_ball_io_holds_a_chunk_and_a_block_not_the_file(tmp_path):
     assert load_peak - held < 2.5e6
 
 
+def test_ball_files_without_newlines_are_read_a_chunk_at_a_time(tmp_path):
+    """A radius-12 ball file whose lines all end in U+2028 or a form feed,
+    which universal newlines do not end, loads within a small factor of the
+    memory that the file as written takes.  On Python 3.11 the peaks beyond
+    the ball are 0.8 MB for the file as written, 1.2 MB for U+2028 and
+    1.1 MB for form feeds; a reader that reads on to the next ``\n`` held
+    the whole rest of the file, 7.9 MB."""
+    ball = grow_ball(spinal_gens(), 12)
+    written = tmp_path / "ball.txt"
+    save_ball(ball, str(written))
+    text = written.read_text(encoding="utf-8")
+    memos = (element._memo_row_text, element._memo_row, element._memo_partition)
+    peaks = {}
+    for name, brk in (("newline", "\n"), ("u2028", "\u2028"), ("formfeed", "\f")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text.replace("\n", brk), encoding="utf-8")
+        for memo in memos:
+            memo.cache_clear()
+        tracemalloc.start()
+        try:
+            loaded = load_ball(str(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded == ball
+        peaks[name] = peak - held
+    assert peaks["u2028"] < 2 * peaks["newline"]
+    assert peaks["formfeed"] < 2 * peaks["newline"]
+
+
 def test_grown_ball_holds_a_shared_copy_of_each_domain():
     """Traced allocation of a radius-12 ball (5,714 elements).  On Python
     3.11 it holds 3.2 MB, 560 B per element, once a full collection has
