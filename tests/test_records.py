@@ -65,7 +65,8 @@ def expression_nodes(text):
     while todo:
         node = todo.pop()
         out.append(node)
-        for value in map(node.__getattribute__, node.__match_args__):
+        for name in node.__match_args__:
+            value = getattr(node, name)
             values = value if isinstance(value, tuple) else (value,)
             todo.extend(v for v in values if isinstance(v, expressions.Expr))
     return out
