@@ -99,11 +99,9 @@ class VnElement(_Record):
         return f"vn {self.alphabet.degree}: {body}"
 
 
-# The slot setters, bound once as for ``Word``: ``compose`` builds one element
-# per call.
-_set_alphabet = VnElement.alphabet.__set__
-_set_dom = VnElement.dom.__set__
-_set_img = VnElement.img.__set__
+# The slot setters, called one by one without ``_set_fields``'s loop:
+# ``compose`` builds one element per call.
+_set_alphabet, _set_dom, _set_img = VnElement._setters
 
 
 def identity(alphabet: Alphabet) -> VnElement:

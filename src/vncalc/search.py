@@ -240,9 +240,6 @@ def save_ball(ball: Ball, path: str) -> None:
 # one element block at a time, never the whole file.
 _CHUNK_CHARS = 1 << 16
 
-# The characters at which ``str.splitlines`` ends a line.
-_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
 
 def _line_chunks(fh):
     """The lines of a text file, one list per chunk read, split exactly
@@ -255,7 +252,8 @@ def _line_chunks(fh):
     while chunk := fh.read(_CHUNK_CHARS):
         chunk += fh.readline(_CHUNK_CHARS)
         lines = chunk.splitlines()
-        tail = [] if chunk[-1] in _LINE_BREAKS else [lines.pop()]
+        # A break character splits to [""], any other character to itself.
+        tail = [lines.pop()] if chunk[-1].splitlines()[0] else []
         if head and lines:
             lines[0] = "".join([*head, lines[0]])
             head = []

@@ -136,7 +136,7 @@ class Word(_OrderedRecord):
     __slots__ = __match_args__ = ("letters",)
 
     def __init__(self, letters: tuple[int, ...] = ()):
-        _set_letters(self, letters)
+        self._set_fields(letters)
         self.__post_init__()
 
     def __post_init__(self):
@@ -144,14 +144,6 @@ class Word(_OrderedRecord):
         for x in self.letters:
             if type(x) is not int or x < 1:
                 raise MalformedWordError(f"letters must be integers >= 1, got {x!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -175,11 +167,6 @@ class Word(_OrderedRecord):
     def parse(text: str) -> Word:
         """Parse ``1.1.2`` or ``eps``."""
         return Word(_parse_letters(text))
-
-
-# Word's slot setter, bound once: ``__init__`` calls it directly, without
-# ``_set_fields``'s loop, since the package builds many words.
-_set_letters = Word.letters.__set__
 
 
 def _text(letters: tuple[int, ...]) -> str:
