@@ -11,9 +11,12 @@ canonical tree-pair form; all arithmetic is exact.  Submodules:
 - ``search``: breadth-first subgroup exploration with persistence
 - ``expressions`` / ``render`` / ``cli``: the human-facing surface
 
-The package imports none of them: import each name from its module
-(``from vncalc.element import compose``), so that a caller loads only
-the modules it uses.
+Each module imports only from the layers below its own, which from the
+bottom up are ``errors``; ``words``; ``element``; ``constructions``,
+``search`` and ``render``; ``expressions`` and ``verify``; ``cli``; and
+``__main__``.  The package imports none of them: import each name from
+its module (``from vncalc.element import compose``), so that a caller
+loads only the modules it uses.
 """
 
 __version__ = "0.1.0"

@@ -30,7 +30,6 @@ from .element import (
     identity,
     order_bounded,
 )
-from .search import GeneratorSet, _walk
 from .words import Alphabet, Word, _parse_int, _Record, check_letters
 
 
@@ -80,7 +79,7 @@ def dot(p: Permutation, alphabet: Alphabet) -> VnElement:
 def sigma_dot(alphabet: Alphabet) -> VnElement:
     """The lift of the transposition (1 2), fixed throughout as sigma.
 
-    Built once per alphabet; every call returns the same element.
+    Kept for the last 16 alphabets used; a call returns the kept element.
     """
     return _sigma_dot(alphabet)
 
@@ -89,7 +88,7 @@ def make_tau(alphabet: Alphabet) -> VnElement:
     """The involution swapping the cone at 1.i with the cone at i+1.
 
     Runs over 1 <= i < n; the leftover cone at 1.n is fixed pointwise.
-    Built once per alphabet; every call returns the same element.
+    Kept for the last 16 alphabets used; a call returns the kept element.
     """
     return _make_tau(alphabet)
 
@@ -97,22 +96,22 @@ def make_tau(alphabet: Alphabet) -> VnElement:
 def make_t(alphabet: Alphabet) -> VnElement:
     """sigma * tau: translates one step along the spine 1.1.1...
 
-    Built once per alphabet; every call returns the same element.
+    Kept for the last 16 alphabets used; a call returns the kept element.
     """
     return _make_t(alphabet)
 
 
-# The named generators depend only on the degree.  The caches sit behind
-# the public functions, which stay plain functions, so that callers and
-# the benchmark's tracer still see every call by its public name.
+# The named generators depend only on the degree, which has no upper bound,
+# so each cache keeps only a few.  They sit behind the public functions, which
+# stay plain, so that callers and the benchmark's tracer see every call.
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _sigma_dot(alphabet: Alphabet) -> VnElement:
     return dot(Permutation.from_cycles([(1, 2)], alphabet.degree), alphabet)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _make_tau(alphabet: Alphabet) -> VnElement:
     n = alphabet.degree
     table = {(1, n): (1, n)}
@@ -122,7 +121,7 @@ def _make_tau(alphabet: Alphabet) -> VnElement:
     return _canonical(sorted(table.items()), alphabet)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _make_t(alphabet: Alphabet) -> VnElement:
     return compose(sigma_dot(alphabet), make_tau(alphabet))
 
@@ -392,9 +391,13 @@ def base_involutions(alphabet: Alphabet) -> list[VnElement]:
 
     The seed is the product of the level-1 and level-2 cone copies of the
     basic swap, an involution of trivial parity.  The result collects the
-    conjugates of the seed by every product of up to two factors from
-    {sigma, tau}, with and without the twist tau, deduplicated in
-    first-seen order.
+    conjugates of the seed by the five products of up to two factors from
+    {sigma, tau}, in the ball search's walk order 1, sigma, tau,
+    sigma*tau, tau*sigma, with and without the twist tau, deduplicated in
+    first-seen order.  The walk skips sigma*sigma and tau*tau, as sigma
+    and tau are distinct involutions; t = sigma*tau has infinite order,
+    so t and t^-1 = tau*sigma differ from each other, from 1 and from
+    sigma and tau.
 
     The twist is an element whose conjugate of the seed does not commute
     with the seed, and tau is one at every degree n >= 2.  The seed swaps
@@ -402,24 +405,17 @@ def base_involutions(alphabet: Alphabet) -> list[VnElement]:
     images of those cones: 1.1.1 with 1.1.2, and 2 with 3 (with 1.2 at
     n = 2, where tau fixes 1.2).  On a point 2.1.x, the seed then its
     conjugate give 3.2.x (1.2.2.x at n = 2), and the conjugate then the
-    seed give 3.1.x (1.1.1.x), so the two do not commute.  Of the
-    candidates that come before tau in the {sigma, tau} walk, the
-    identity and sigma, neither would do: sigma swaps the seed's two
-    factors, so both conjugate the seed to itself.
+    seed give 3.1.x (1.1.1.x), so the two do not commute.  Neither product
+    that comes before tau, 1 or sigma, would do: sigma swaps the seed's
+    two factors, so both conjugate the seed to itself.
     """
     sig, tau = sigma_dot(alphabet), make_tau(alphabet)
     seed = compose(embed(Word((1,)), sig), embed(Word((2,)), sig))
     out: dict[VnElement, None] = {}
-    for g in _generator_words(alphabet, max_length=2):
+    for g in (identity(alphabet), sig, tau, compose(sig, tau), compose(tau, sig)):
         for h in (g, compose(tau, g)):
             out.setdefault(conjugate(seed, h))
     return list(out)
-
-
-def _generator_words(alphabet: Alphabet, max_length: int) -> list[VnElement]:
-    """Products of up to max_length factors from {sigma, tau}, deduplicated."""
-    gens = GeneratorSet.from_dict({"sigma": sigma_dot(alphabet), "tau": make_tau(alphabet)})
-    return [g for _, g in _walk(gens, max_length)]
 
 
 def default_base(alphabet: Alphabet, size: int) -> list[VnElement]:

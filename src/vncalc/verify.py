@@ -369,11 +369,11 @@ def translation_suite(degrees, k_values, count: int, seed: int) -> list[Verifica
 
 
 def _planned(alphabet: Alphabet, sizes=(1, 2, 3)) -> list[AlphaPlan]:
-    """Plans over the default bases of the given sizes, each built once."""
+    """Plans over the default bases of the given sizes; the last 16 are kept."""
     return [_plan(alphabet, size) for size in sizes]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _plan(alphabet: Alphabet, size: int) -> AlphaPlan:
     return plan_alpha(default_base(alphabet, size))
 

@@ -30,13 +30,14 @@ is the ball reader as it was before, which scans every line of a block
 on its own, kept as the reference for ``load_ball``.  Both word oracles
 read letters through ``naive_letters``, which matches each letter against
 a regular expression of ASCII digits, the only spelling the writer uses.
-``naive_grow_ball``, ``naive_find_element`` and ``naive_generator_words``
-are the three breadth-first loops as they were before ``vncalc.search``
-ran all of them through one walk, kept as the reference for that walk:
-the same entries, sizes, truncation point and witness words.
-``naive_base_involutions`` is ``base_involutions`` as it was when it
-searched the {sigma, tau} products for its twist, kept as the reference
-for the fixed twist tau.
+``naive_grow_ball`` and ``naive_find_element`` are two breadth-first
+loops as they were before ``vncalc.search`` ran them through one walk,
+kept as the reference for that walk: the same entries, sizes, truncation
+point and witness words.  The third such loop, ``naive_generator_words``,
+lists the {sigma, tau} products for ``naive_base_involutions``, which is
+``base_involutions`` as it was when it searched those products for its
+twist, kept as the reference for the fixed twist tau and for the five
+products that ``base_involutions`` lists.
 ``naive_enumerate_en_group`` is the finite closure as it was before it
 went through that walk: the generators act as permutation tuples of the
 leaves at one level, closed under composition, kept as the reference for

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import W, is_prefix, naive_base_involutions, naive_embed, naive_generator_words
+from conftest import W, is_prefix, naive_base_involutions, naive_embed
 from vncalc.constructions import (
     _embed_letters,
-    _generator_words,
     MAX_SIDON_COUNT,
     AlphaPlan,
     Permutation,
@@ -457,16 +456,6 @@ def test_base_involutions_trivial_parity_for_odd_degree():
         assert sign(embed(W("2"), sig)) == -1
         for g in base_involutions(alphabet):
             assert sign(g) == 1
-
-
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_generator_words_match_the_naive_loop(n):
-    """The {sigma, tau} products base_involutions draws on come in the same
-    order from the ball search's walk as from the loop it replaced."""
-    for max_length in range(5):
-        assert _generator_words(Alphabet(n), max_length) == naive_generator_words(
-            Alphabet(n), max_length
-        )
 
 
 def test_base_involutions_match_the_twist_search():

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from conftest import (
     tuple_closure,
 )
 from vncalc.constructions import (
+    base_involutions,
     default_base,
     dot,
     embed,
@@ -292,6 +294,126 @@ def test_isolation_fails_factors_that_do_not_commute(monkeypatch, n):
     assert rep.failed
     assert rep.reason == "right-hand factors do not commute"
     assert (rep.lhs, rep.rhs) == (compose(deep, cone), compose(cone, deep))
+
+
+# --- the hypotheses of the construction --------------------------------------------
+
+
+class LoosePlan:
+    """The involutions of ``base`` at the given positions of a sequence of
+    ``length`` entries, with only what ``verify_isolation`` reads of a plan.
+    ``AlphaPlan`` would refuse most of these: the support need not be a
+    Sidon set, nor the sequence padded."""
+
+    def __init__(self, base, positions, length):
+        self.alphabet = base[0].alphabet
+        entries = [identity(self.alphabet)] * length
+        for g, k in zip(base, sorted(positions)):
+            entries[k - 1] = g
+        self.entries = tuple(entries)
+        self.length = length
+        self.support = SimpleNamespace(members=frozenset(positions))
+
+    def entry(self, k):
+        return self.entries[k - 1]
+
+
+def isolation_verdicts(plan):
+    members = sorted(plan.support.members)
+    return {
+        (i, j): verify_isolation(plan, i, j).verdict
+        for a, i in enumerate(members)
+        for j in members[a + 1 :]
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize(
+    "positions", [(1, 2, 3), (1, 3, 5), (2, 4, 6), (1, 4, 7), (1, 2, 4), (2, 3, 5)]
+)
+def test_isolation_needs_a_sidon_support(n, positions):
+    """Isolation fails exactly at the pairs whose difference another
+    supported pair repeats, and passes on a Sidon support.  Every pair's
+    commutator is nontrivial here, so a repeated difference leaves a second
+    cone factor beside the pair's own."""
+    base = default_base(Alphabet(n), 3)
+    low, top = min(positions), max(positions)
+    plan = LoosePlan(base, positions, top + (top - low) + 1)
+    verdicts = isolation_verdicts(plan)
+    differences = Counter(j - i for i, j in verdicts)
+    for i, j in verdicts:
+        assert not commutator(plan.entry(j), plan.entry(i)).is_identity()
+    assert verdicts == {
+        (i, j): "FAIL" if differences[j - i] > 1 else "PASS" for i, j in verdicts
+    }
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_isolation_fails_where_another_pair_repeats_a_nontrivial_commutator(data):
+    """The rule behind the Sidon test, over random supports and entries
+    that may repeat: the pair (i, j) fails isolation exactly when another
+    supported pair with the same difference has a nontrivial commutator,
+    whatever the pair's own commutator is."""
+    pool = base_involutions(Alphabet(data.draw(st.sampled_from([2, 3, 5]))))
+    positions = data.draw(st.lists(st.integers(1, 8), min_size=2, max_size=4, unique=True))
+    positions.sort()
+    base = [data.draw(st.sampled_from(pool)) for _ in positions]
+    low, top = positions[0], positions[-1]
+    plan = LoosePlan(base, positions, top + (top - low) + 1)
+    verdicts = isolation_verdicts(plan)
+    nontrivial = {
+        (i, j): not commutator(plan.entry(j), plan.entry(i)).is_identity() for i, j in verdicts
+    }
+    assert verdicts == {
+        (i, j): "FAIL"
+        if any(b - a == j - i and nontrivial[a, b] for a, b in verdicts if (a, b) != (i, j))
+        else "PASS"
+        for i, j in verdicts
+    }
+
+
+def probe_bases(n):
+    """The planned base and a second one: the last three base involutions."""
+    alphabet = Alphabet(n)
+    return [default_base(alphabet, 3), base_involutions(alphabet)[-3:]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_isolation_needs_j_minus_i_trivial_positions_above_the_support(n):
+    """The planned support {4, 5, 7} has padding 3 and length 11, so 4
+    trivial positions above it.  With m of them, the pair (i, j) fails
+    isolation exactly when m < j - i: the top padding that isolation needs
+    is the support's largest difference, one position less than the plan's."""
+    for base in probe_bases(n):
+        plan = plan_alpha(base)
+        members = plan.support.sorted_members
+        assert (members, plan.padding, plan.length) == ((4, 5, 7), 3, 11)
+        for m in range(plan.length - members[-1] + 1):
+            verdicts = isolation_verdicts(LoosePlan(base, members, members[-1] + m))
+            assert verdicts == {
+                (i, j): "FAIL" if m < j - i else "PASS" for i, j in verdicts
+            }
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_the_identities_do_not_need_the_bottom_padding(n):
+    """Lowering the planned support by 1 to 3, down to {1, 2, 4}, keeps
+    the top padding and breaks the bottom one, and changes no verdict of
+    eq3, the commutator trick or isolation."""
+    for base in probe_bases(n):
+        plan = plan_alpha(base)
+
+        def verdicts(p):
+            eq3 = [verify_s_alpha_conjugation(p.entries, k).verdict for k in range(6)]
+            trick = [verify_commutator_trick(p.entries, k).verdict for k in range(6)]
+            return eq3, trick, sorted(isolation_verdicts(p).values())
+
+        expected = verdicts(plan)
+        assert expected[2] == ["PASS"] * 3
+        for shift in (1, 2, 3):
+            lowered = [k - shift for k in plan.support.sorted_members]
+            assert verdicts(LoosePlan(base, lowered, plan.length - shift)) == expected
 
 
 # --- maximal subgroup membership ----------------------------------------------------
@@ -650,6 +772,32 @@ def test_the_memos_keep_no_operand_past_their_bounds():
         g = sigma_dot(Alphabet(n))
         assert embed(spine_cone(length), g) == naive_embed(spine_cone(length), g)
     assert siblings.cache_info().currsize == 2
+
+
+PER_DEGREE_CACHES = (
+    constructions_module._sigma_dot,
+    constructions_module._make_tau,
+    constructions_module._make_t,
+    verify_module._plan,
+)
+
+
+def test_the_per_degree_caches_keep_at_most_their_bounds():
+    """The degree has no upper bound, so the named generators and the
+    planned sequences are kept for only a few: after 40 degrees each cache
+    holds at most its bound, and the default grid, whose 9 plans fit in
+    the bound, still builds each generator and each plan once per degree."""
+    for n in range(2, 42):
+        make_t(Alphabet(n))
+        verify_module._planned(Alphabet(n))
+    for cache in PER_DEGREE_CACHES:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    for cache in PER_DEGREE_CACHES:
+        cache.cache_clear()
+    clear_verify_memos()
+    run_suites("all", (2, 3, 5))
+    assert [cache.cache_info().misses for cache in PER_DEGREE_CACHES] == [3, 3, 3, 9]
 
 
 # --- suite driver ------------------------------------------------------------------------------
